@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
+from .config import GradeConfig
 from .errors import Inconclusive, NotARelation
 from .nodes import (
     KIND_RANK,
@@ -34,12 +35,8 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass(frozen=True)
-class EquivConfig:
-    trials: int = 8
-    eval_rtol: float = 1e-9
-    seed: int = 2718
-    max_retries: int = 5
+# resamples per equivalence trial before a singular point makes it inconclusive
+MAX_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -51,11 +48,8 @@ class CanonicalTree:
 
 # --- total order ------------------------------------------------------------
 
-_key_cache: dict = {}
-
-
 def sort_key(node: MathNode):
-    k = _key_cache.get(node)
+    k = node._key
     if k is not None:
         return k
     payload = node.payload
@@ -71,9 +65,7 @@ def sort_key(node: MathNode):
         len(node.children),
         tuple(sort_key(c) for c in node.children),
     )
-    if len(_key_cache) > 200_000:
-        _key_cache.clear()
-    _key_cache[node] = k
+    object.__setattr__(node, "_key", k)
     return k
 
 
@@ -280,6 +272,11 @@ def canonicalize(node: MathNode) -> CanonicalTree:
     return CanonicalTree(root=root, size=root.size(), digest=digest)
 
 
+def as_canonical(tree) -> CanonicalTree:
+    """The tree itself if already canonical, else its canonical form."""
+    return tree if isinstance(tree, CanonicalTree) else canonicalize(tree)
+
+
 # --- relations ---------------------------------------------------------------
 
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "="}
@@ -338,7 +335,7 @@ def standardize_relation(node: MathNode) -> MathNode:
     return relation(op, diff, ZERO)
 
 
-def equation_equivalent(a: MathNode, b: MathNode, cfg: EquivConfig = EquivConfig()) -> bool:
+def equation_equivalent(a: MathNode, b: MathNode, cfg: GradeConfig = GradeConfig()) -> bool:
     """Same solution set: equal up to positive rational scale (any nonzero
     rational scale for equalities, which sign standardization absorbs)."""
     sa = standardize_relation(a)
@@ -455,14 +452,15 @@ def _pair_seed(cfg_seed: int, da: str, db: str) -> int:
     return int.from_bytes(h[:8], "big")
 
 
-def equivalent(a: MathNode, b: MathNode, cfg: EquivConfig = EquivConfig()) -> bool:
+def equivalent(a, b, cfg: GradeConfig = GradeConfig()) -> bool:
     """Structural canonical equality, else randomized-evaluation agreement.
 
+    a and b are MathNodes or CanonicalTrees; only MathNodes are canonicalized.
     Raises Inconclusive when every sample hits a singularity; callers fall
     back to tree distance.
     """
-    ca = canonicalize(a)
-    cb = canonicalize(b)
+    ca = as_canonical(a)
+    cb = as_canonical(b)
     if ca.root == cb.root:
         return True
     ra, rb = ca.root, cb.root
@@ -475,7 +473,7 @@ def equivalent(a: MathNode, b: MathNode, cfg: EquivConfig = EquivConfig()) -> bo
 
     for _ in range(cfg.trials):
         done = False
-        for _retry in range(cfg.max_retries):
+        for _retry in range(MAX_RETRIES):
             if exact:
                 env = {
                     s: Fraction(rng.choice(_SAMPLE_PRIMES), rng.choice(_SAMPLE_DENOMS))

@@ -1,10 +1,9 @@
-"""Run configuration shared by the grader, scorer, and harness."""
+"""Run configuration shared by every grading stage: equivalence sampling,
+edit costs, score mapping, and preprocessing limits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-
-from .canon import EquivConfig
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,21 @@ class GradeConfig:
     # preprocessing
     max_bracket_inserts: int = 3
 
-    def equiv(self) -> EquivConfig:
-        return EquivConfig(trials=self.trials, eval_rtol=self.eval_rtol, seed=self.seed)
+    def __post_init__(self):
+        if min(self.insert_cost, self.delete_cost, self.rename_cost, self.kind_change_cost) < 0:
+            raise ValueError("edit costs must be nonnegative")
+        if not (
+            self.rename_cost
+            <= self.kind_change_cost
+            <= self.insert_cost + self.delete_cost
+        ):
+            raise ValueError("need rename <= kind_change <= insert + delete")
+
+    def relabel(self, a, b):
+        """Edit cost of turning node a into node b."""
+        if a.kind is not b.kind:
+            return self.kind_change_cost
+        return 0 if a.label() == b.label() else self.rename_cost
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

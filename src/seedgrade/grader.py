@@ -4,26 +4,14 @@ results; only ground-truth failures raise."""
 
 from __future__ import annotations
 
-from .canon import canonicalize, equation_equivalent, standardize_relation
-from .ted import distance_to_score
+from .canon import canonicalize, standardize_relation
 from .config import GradeConfig
 from .errors import DimensionMismatch, GradingError, GroundTruthInvalid
 from .nodes import AnswerType, Kind, MathNode, TypedAnswer
-from .preprocess import canonicalize_latex, extract_final_answer
 from .parser import parse_answer
-from .ted import GradeResult, seed_score
+from .preprocess import canonicalize_latex, extract_final_answer
+from .ted import GradeResult, distance_to_score, seed_score
 from .units import compare_quantities
-
-
-def _zero(diagnostics) -> GradeResult:
-    return GradeResult(
-        score=0.0,
-        equivalent=False,
-        distance=float("inf"),
-        relative_distance=float("inf"),
-        edit_script=[],
-        diagnostics=list(diagnostics),
-    )
 
 
 def parse_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig = GradeConfig()) -> TypedAnswer:
@@ -60,42 +48,30 @@ def _parse_prediction(pred_raw: str, declared: AnswerType, cfg: GradeConfig):
     return None, diagnostics
 
 
-def grade_expression(pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig()) -> GradeResult:
-    return seed_score(pred, gt, cfg)
-
-
 def grade_equation(pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+    """Score on the standardized `f # 0` forms: equivalent sides under the same
+    relation score full credit, anything else is graded on the sides."""
     if pred.kind is not Kind.RELATION:
-        return _zero(["TypeMismatch: prediction is not an equation"])
-    if equation_equivalent(pred, gt, cfg.equiv()):
-        return GradeResult(
-            score=cfg.max_score,
-            equivalent=True,
-            distance=0,
-            relative_distance=0.0,
-            diagnostics=["equation-equivalent"],
-        )
+        return GradeResult.zero(["TypeMismatch: prediction is not an equation"])
     sp = standardize_relation(pred)
     sg = standardize_relation(gt)
-    result = seed_score(sp.children[0], sg.children[0], cfg)
+    cg = canonicalize(sg.children[0])
+    result = seed_score(canonicalize(sp.children[0]), cg, cfg)
+    if sp.payload == sg.payload and result.equivalent:
+        return GradeResult.full(cfg, ["equation-equivalent"])
     result.equivalent = False
     result.diagnostics.append("graded-on-standardized-sides")
     if sp.payload != sg.payload:
         # relation direction counts as one more relabel on the one-sided form
-        gt_size = canonicalize(sg.children[0]).size
         d = (0 if result.distance == 0 else float(result.distance)) + cfg.rename_cost
         result.distance = d
-        result.relative_distance = d / gt_size
-        result.score = distance_to_score(d, gt_size, cfg)
+        result.relative_distance = d / cg.size
+        result.score = distance_to_score(d, cg.size, cfg)
         result.diagnostics.append("relation-direction-mismatch")
     return result
 
 
-def grade_tuple(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
-    return _grade_tuple_parts(list(pred.parts), list(gt.parts), cfg)
-
-
-def _grade_tuple_parts(pred_parts: list, gt_parts: list, cfg: GradeConfig) -> GradeResult:
+def _grade_parts(pred_parts: list, gt_parts: list, cfg: GradeConfig) -> GradeResult:
     n = max(len(pred_parts), len(gt_parts))
     scores = []
     scripts = []
@@ -132,7 +108,7 @@ def grade_interval(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeC
     pnode = pred.parts[0]
     gnode = gt.parts[0]
     if pnode.kind is not Kind.INTERVAL:
-        return _zero(["TypeMismatch: prediction is not an interval"])
+        return GradeResult.zero(["TypeMismatch: prediction is not an interval"])
     lo = seed_score(pnode.children[0], gnode.children[0], cfg)
     hi = seed_score(pnode.children[1], gnode.children[1], cfg)
     mismatched = sum(
@@ -156,19 +132,13 @@ def grade_interval(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeC
 
 def grade_numeric(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
     if pred.quantity is None:
-        return _zero(["TypeMismatch: prediction is not a quantity"])
+        return GradeResult.zero(["TypeMismatch: prediction is not a quantity"])
     try:
         ok = compare_quantities(pred.quantity, gt.quantity, cfg.rtol)
     except DimensionMismatch as exc:
-        return _zero([f"DimensionMismatch: {exc}"])
+        return GradeResult.zero([f"DimensionMismatch: {exc}"])
     if ok:
-        return GradeResult(
-            score=cfg.max_score,
-            equivalent=True,
-            distance=0,
-            relative_distance=0.0,
-            diagnostics=[f"within rtol {cfg.rtol}"],
-        )
+        return GradeResult.full(cfg, [f"within rtol {cfg.rtol}"])
     rel = abs(pred.quantity.magnitude - gt.quantity.magnitude) / max(
         abs(gt.quantity.magnitude), 1e-300
     )
@@ -182,27 +152,37 @@ def grade_numeric(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeCo
             relative_distance=rel,
             diagnostics=diagnostics + ["numeric partial credit enabled"],
         )
-    return _zero(diagnostics)
+    return GradeResult.zero(diagnostics)
 
 
 def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
     t = gt.answer_type
     if t is AnswerType.EXPRESSION:
         if pred.answer_type is AnswerType.EXPRESSION:
-            return grade_expression(pred.parts[0], gt.parts[0], cfg)
-        return _zero(["TypeMismatch: expected an expression"])
+            return seed_score(pred.parts[0], gt.parts[0], cfg)
+        return GradeResult.zero(["TypeMismatch: expected an expression"])
     if t is AnswerType.EQUATION:
         return grade_equation(pred.parts[0], gt.parts[0], cfg)
     if t is AnswerType.TUPLE:
         # a lone expression is graded as a 1-part tuple (positional)
-        return _grade_tuple_parts(list(pred.parts), list(gt.parts), cfg)
+        return _grade_parts(list(pred.parts), list(gt.parts), cfg)
     if t is AnswerType.INTERVAL:
         if pred.answer_type is not AnswerType.INTERVAL:
-            return _zero(["TypeMismatch: expected an interval"])
+            return GradeResult.zero(["TypeMismatch: expected an interval"])
         return grade_interval(pred, gt, cfg)
     if t is AnswerType.NUMERIC:
         return grade_numeric(pred, gt, cfg)
     raise AssertionError(t)
+
+
+def grade_prediction(pred_raw: str, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+    """Grade one raw prediction text against an already parsed ground truth."""
+    pred, diagnostics = _parse_prediction(pred_raw, gt.answer_type, cfg)
+    if pred is None:
+        return GradeResult.zero(diagnostics)
+    result = grade_parsed(pred, gt, cfg)
+    result.diagnostics = diagnostics + result.diagnostics
+    return result
 
 
 def grade(
@@ -212,10 +192,4 @@ def grade(
     cfg: GradeConfig = GradeConfig(),
 ) -> GradeResult:
     """Grade one raw prediction text against one ground-truth LaTeX string."""
-    gt = parse_ground_truth(gt_raw, declared, cfg)
-    pred, diagnostics = _parse_prediction(pred_raw, declared, cfg)
-    if pred is None:
-        return _zero(diagnostics)
-    result = grade_parsed(pred, gt, cfg)
-    result.diagnostics = diagnostics + result.diagnostics
-    return result
+    return grade_prediction(pred_raw, parse_ground_truth(gt_raw, declared, cfg), cfg)

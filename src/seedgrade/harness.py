@@ -22,8 +22,9 @@ from .errors import (
     HttpError,
     SchemaError,
 )
-from .grader import grade, parse_ground_truth
+from .grader import grade_prediction, parse_ground_truth
 from .nodes import AnswerType
+from .ted import GradeResult
 
 TOPICS = (
     "Magnetism",
@@ -167,50 +168,31 @@ def load_responses(path) -> list:
 
 def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     """Grade every (item, model) pair. Items a model never answered score 0;
-    responses without a matching item are recorded with a diagnostic."""
-    by_id = {item.id: item for item in items}
+    responses without a matching item are recorded with a diagnostic. Each
+    answered item's ground truth is parsed once and graded against every
+    model's response."""
     models = sorted({model for _, model, _ in responses})
     response_map = {(i, m): r for i, m, r in responses}
 
+    def record(item_id, model, topic, answer_type, result):
+        return {"id": item_id, "model": model, "topic": topic,
+                "answer_type": answer_type, **result.to_dict()}
+
     records = []
-    for model in models:
-        for item in sorted(items, key=lambda it: it.id):
+    for item in items:
+        gt = None
+        for model in models:
             text = response_map.pop((item.id, model), None)
             if text is None:
-                result_dict = {
-                    "score": 0.0,
-                    "equivalent": False,
-                    "distance": None,
-                    "relative_distance": None,
-                    "edit_script": [],
-                    "diagnostics": ["missing response"],
-                }
+                result = GradeResult.zero(["missing response"])
             else:
-                result_dict = grade(text, item.ground_truth, item.answer_type, cfg).to_dict()
-            records.append(
-                {
-                    "id": item.id,
-                    "model": model,
-                    "topic": item.topic,
-                    "answer_type": item.answer_type.value,
-                    **result_dict,
-                }
-            )
+                if gt is None:
+                    gt = parse_ground_truth(item.ground_truth, item.answer_type, cfg)
+                result = grade_prediction(text, gt, cfg)
+            records.append(record(item.id, model, item.topic, item.answer_type.value, result))
     for (item_id, model), _ in sorted(response_map.items()):
-        records.append(
-            {
-                "id": item_id,
-                "model": model,
-                "topic": "Others",
-                "answer_type": "expression",
-                "score": 0.0,
-                "equivalent": False,
-                "distance": None,
-                "relative_distance": None,
-                "edit_script": [],
-                "diagnostics": ["response id not in dataset"],
-            }
-        )
+        result = GradeResult.zero(["response id not in dataset"])
+        records.append(record(item_id, model, "Others", "expression", result))
     records.sort(key=lambda r: (r["model"], r["id"]))
     return RunReport(records=records, config=cfg.to_dict())
 

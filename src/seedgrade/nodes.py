@@ -57,13 +57,14 @@ class MathNode:
       others    -> None
     """
 
-    __slots__ = ("kind", "payload", "children", "_hash")
+    __slots__ = ("kind", "payload", "children", "_hash", "_key")
 
     def __init__(self, kind: Kind, payload=None, children: tuple = ()):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "payload", payload)
         object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_key", None)  # canon.sort_key, filled on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("MathNode is immutable")

@@ -10,40 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .canon import CanonicalTree, canonicalize, equivalent
+from .canon import CanonicalTree, as_canonical, equivalent
 from .config import GradeConfig
 from .errors import Inconclusive
 from .nodes import MathNode
-
-
-@dataclass(frozen=True)
-class CostModel:
-    insert_cost: int = 1
-    delete_cost: int = 1
-    rename_cost: int = 1
-    kind_change_cost: int = 2
-
-    def __post_init__(self):
-        if min(self.insert_cost, self.delete_cost, self.rename_cost, self.kind_change_cost) < 0:
-            raise ValueError("edit costs must be nonnegative")
-        if not (
-            self.rename_cost
-            <= self.kind_change_cost
-            <= self.insert_cost + self.delete_cost
-        ):
-            raise ValueError("need rename <= kind_change <= insert + delete")
-
-    def relabel(self, a: MathNode, b: MathNode):
-        la, lb = a.label(), b.label()
-        if a.kind is b.kind and la == lb:
-            return 0
-        if a.kind is b.kind:
-            return self.rename_cost
-        return self.kind_change_cost
-
-    @classmethod
-    def from_config(cls, cfg: GradeConfig) -> "CostModel":
-        return cls(cfg.insert_cost, cfg.delete_cost, cfg.rename_cost, cfg.kind_change_cost)
 
 
 @dataclass(frozen=True)
@@ -95,15 +65,15 @@ class _Annotated:
         return len(self.nodes)
 
 
-def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cm: CostModel):
+def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeConfig):
     """Forest-distance DP table for the subtree pair rooted at (x, y)."""
     lx, ly = A.lml[x], B.lml[y]
     w, h = x - lx + 2, y - ly + 2
     fd = [[0] * h for _ in range(w)]
     for di in range(1, w):
-        fd[di][0] = fd[di - 1][0] + cm.delete_cost
+        fd[di][0] = fd[di - 1][0] + cfg.delete_cost
     for dj in range(1, h):
-        fd[0][dj] = fd[0][dj - 1] + cm.insert_cost
+        fd[0][dj] = fd[0][dj - 1] + cfg.insert_cost
     for i in range(lx, x + 1):
         di = i - lx + 1
         ai_lml = A.lml[i]
@@ -113,23 +83,23 @@ def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cm: CostMode
             dj = j - ly + 1
             if ai_lml == lx and B.lml[j] == ly:
                 cost = min(
-                    prow[dj - 1] + cm.relabel(A.nodes[i], B.nodes[j]),
-                    prow[dj] + cm.delete_cost,
-                    row[dj - 1] + cm.insert_cost,
+                    prow[dj - 1] + cfg.relabel(A.nodes[i], B.nodes[j]),
+                    prow[dj] + cfg.delete_cost,
+                    row[dj - 1] + cfg.insert_cost,
                 )
                 td[i][j] = cost
                 row[dj] = cost
             else:
                 row[dj] = min(
                     fd[ai_lml - lx][B.lml[j] - ly] + td[i][j],
-                    prow[dj] + cm.delete_cost,
-                    row[dj - 1] + cm.insert_cost,
+                    prow[dj] + cfg.delete_cost,
+                    row[dj - 1] + cfg.insert_cost,
                 )
     return fd
 
 
-def _backtrace(A, B, x, y, td, cm, out):
-    fd = _forest_table(A, B, x, y, td, cm)
+def _backtrace(A, B, x, y, td, cfg, out):
+    fd = _forest_table(A, B, x, y, td, cfg)
     lx, ly = A.lml[x], B.lml[y]
     p, q = x, y
     while p >= lx or q >= ly:
@@ -137,7 +107,7 @@ def _backtrace(A, B, x, y, td, cm, out):
         if p >= lx and q >= ly:
             aligned = A.lml[p] == lx and B.lml[q] == ly
             if aligned:
-                rl = cm.relabel(A.nodes[p], B.nodes[q])
+                rl = cfg.relabel(A.nodes[p], B.nodes[q])
                 if fd[di][dj] == fd[di - 1][dj - 1] + rl:
                     out.append(
                         EditOp(
@@ -154,11 +124,11 @@ def _backtrace(A, B, x, y, td, cm, out):
             else:
                 jump_i, jump_j = A.lml[p] - lx, B.lml[q] - ly
                 if fd[di][dj] == fd[jump_i][jump_j] + td[p][q]:
-                    _backtrace(A, B, p, q, td, cm, out)
+                    _backtrace(A, B, p, q, td, cfg, out)
                     p = A.lml[p] - 1
                     q = B.lml[q] - 1
                     continue
-        if p >= lx and fd[di][dj] == fd[di - 1][dj] + cm.delete_cost:
+        if p >= lx and fd[di][dj] == fd[di - 1][dj] + cfg.delete_cost:
             out.append(EditOp("delete", A.paths[p], A.nodes[p].label(), None))
             p -= 1
             continue
@@ -169,7 +139,7 @@ def _backtrace(A, B, x, y, td, cm, out):
         q -= 1
 
 
-def tree_edit_distance(a, b, cm: CostModel = CostModel(), include_matches: bool = False):
+def tree_edit_distance(a, b, cfg: GradeConfig = GradeConfig(), include_matches: bool = False):
     """Exact minimal edit cost and one optimal edit script from a to b."""
     ra = a.root if isinstance(a, CanonicalTree) else a
     rb = b.root if isinstance(b, CanonicalTree) else b
@@ -178,10 +148,10 @@ def tree_edit_distance(a, b, cm: CostModel = CostModel(), include_matches: bool 
     td = [[0] * m for _ in range(n)]
     for x in A.keyroots:
         for y in B.keyroots:
-            _forest_table(A, B, x, y, td, cm)
+            _forest_table(A, B, x, y, td, cfg)
     distance = td[n - 1][m - 1]
     ops: list = []
-    _backtrace(A, B, n - 1, m - 1, td, cm, ops)
+    _backtrace(A, B, n - 1, m - 1, td, cfg, ops)
     ops.reverse()
     if not include_matches:
         ops = [o for o in ops if o.op != "match"]
@@ -196,6 +166,26 @@ class GradeResult:
     relative_distance: float
     edit_script: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
+
+    @classmethod
+    def zero(cls, diagnostics) -> "GradeResult":
+        return cls(
+            score=0.0,
+            equivalent=False,
+            distance=float("inf"),
+            relative_distance=float("inf"),
+            diagnostics=list(diagnostics),
+        )
+
+    @classmethod
+    def full(cls, cfg: GradeConfig, diagnostics) -> "GradeResult":
+        return cls(
+            score=cfg.max_score,
+            equivalent=True,
+            distance=0,
+            relative_distance=0.0,
+            diagnostics=list(diagnostics),
+        )
 
     def to_dict(self) -> dict:
         d = float(self.distance)
@@ -222,24 +212,22 @@ def distance_to_score(distance, gt_size: int, cfg: GradeConfig = GradeConfig()) 
     return min(cfg.max_score, max(0.0, score))
 
 
-def seed_score(pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig()) -> GradeResult:
-    """Full-credit on semantic equivalence, else edit-distance partial credit."""
+def seed_score(pred, gt, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+    """Full credit on semantic equivalence, else edit-distance partial credit.
+
+    pred and gt are MathNodes or CanonicalTrees; each is canonicalized at
+    most once, and the canonical trees feed both the equivalence check and
+    the edit distance.
+    """
     diagnostics: list = []
-    cp = canonicalize(pred)
-    cg = canonicalize(gt)
+    cp = as_canonical(pred)
+    cg = as_canonical(gt)
     try:
-        if equivalent(cp.root, cg.root, cfg.equiv()):
-            return GradeResult(
-                score=cfg.max_score,
-                equivalent=True,
-                distance=0,
-                relative_distance=0.0,
-                edit_script=[],
-                diagnostics=diagnostics,
-            )
+        if equivalent(cp, cg, cfg):
+            return GradeResult.full(cfg, diagnostics)
     except Inconclusive:
         diagnostics.append("equivalence-inconclusive: falling back to tree distance")
-    distance, ops = tree_edit_distance(cp, cg, CostModel.from_config(cfg))
+    distance, ops = tree_edit_distance(cp, cg, cfg)
     score = distance_to_score(distance, cg.size, cfg)
     return GradeResult(
         score=score,

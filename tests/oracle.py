@@ -8,7 +8,7 @@ small trees; exists purely to cross-check the dynamic program.
 from functools import lru_cache
 
 from seedgrade.nodes import Kind, MathNode
-from seedgrade.ted import CostModel
+from seedgrade.config import GradeConfig
 
 
 def _postorder(root):
@@ -29,7 +29,7 @@ def _postorder(root):
     return nodes, lml
 
 
-def brute_distance(a: MathNode, b: MathNode, cm: CostModel = CostModel()) -> int:
+def brute_distance(a: MathNode, b: MathNode, cm: GradeConfig = GradeConfig()) -> int:
     A, la = _postorder(a)
     B, lb = _postorder(b)
     n, m = len(A), len(B)

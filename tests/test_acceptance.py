@@ -20,7 +20,7 @@ from seedgrade.harness import grade_run, load_dataset, load_responses, spearman
 from seedgrade.nodes import AnswerType, Kind, MathNode, num, pow_, sym
 from seedgrade.parser import parse_expression
 from seedgrade.preprocess import canonicalize_latex
-from seedgrade.ted import CostModel, tree_edit_distance
+from seedgrade.ted import tree_edit_distance
 
 CFG = GradeConfig()
 
@@ -85,7 +85,7 @@ def test_criterion_04_near_miss_localization():
 
 def test_criterion_05_distance_matches_brute_force_oracle():
     rng = random.Random(20260823)
-    cm = CostModel()
+    cm = GradeConfig()
     by_size = {n: tree_shapes(n) for n in range(1, 7)}
     sizes = [1, 2, 3, 4, 5, 6]
     weights = [1, 2, 3, 3, 2, 1]
@@ -226,8 +226,8 @@ INEQUIVALENT_PAIRS = [
 def _pair_equivalent(a_src, b_src):
     a, b = parse(a_src), parse(b_src)
     if a.kind is Kind.RELATION and b.kind is Kind.RELATION:
-        return equation_equivalent(a, b, CFG.equiv())
-    return equivalent(a, b, CFG.equiv())
+        return equation_equivalent(a, b, CFG)
+    return equivalent(a, b, CFG)
 
 
 def test_criterion_06_equivalence_corpus():

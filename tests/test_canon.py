@@ -3,13 +3,13 @@ from fractions import Fraction
 import pytest
 
 from seedgrade.canon import (
-    EquivConfig,
     canonicalize,
     equation_equivalent,
     equivalent,
     evaluate_exact,
     standardize_relation,
 )
+from seedgrade.config import GradeConfig
 from seedgrade.errors import NotARelation
 from seedgrade.nodes import add, mul, num, pow_, relation, sym
 from seedgrade.parser import parse_expression
@@ -97,7 +97,7 @@ class TestEvaluate:
 
 
 class TestEquivalent:
-    CFG = EquivConfig()
+    CFG = GradeConfig()
 
     def test_structural(self):
         assert equivalent(parse("x + y"), parse("y + x"), self.CFG)

@@ -46,6 +46,15 @@ class TestGradeCommand:
         assert main(["grade", "--pred", "x", "--gt", "x", "--type", "poem"]) == 1
         assert main(["not-a-command"]) == 1
 
+    def test_bad_costs_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("rename_cost = 3\nkind_change_cost = 3\n")
+        # an equivalent pair needs no edit distance, yet the config is refused
+        rc = main(["grade", "--pred", "\\boxed{x+y}", "--gt", "y+x",
+                   "--type", "expression", "--config", str(cfg)])
+        assert rc == 1
+        assert "bad config file" in capsys.readouterr().err
+
     def test_data_error_exit_2(self):
         assert main(["grade", "--pred", "x", "--gt", "\\frac{", "--type", "expression"]) == 2
 

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+from seedgrade import canon
 from seedgrade.config import GradeConfig
 from seedgrade.errors import GroundTruthInvalid
 from seedgrade.grader import grade, parse_ground_truth
@@ -57,6 +60,13 @@ class TestEquation:
     def test_non_relation_prediction(self):
         r = score(r"\boxed{m c^2}", "E = m c^2", "equation")
         assert r.score == 0.0
+
+    def test_inconclusive_falls_back_to_distance(self):
+        # every sample point is a pole of 1/sin(0), so equivalence is undecided
+        r = score(r"\boxed{y = \frac{1}{\sin(0)}}", "y = 1", "equation")
+        assert 0.0 <= r.score <= 100.0
+        assert not r.equivalent
+        assert any(d.startswith("equivalence-inconclusive") for d in r.diagnostics)
 
 
 class TestTuple:
@@ -126,8 +136,55 @@ class TestConfig:
         with pytest.raises(ValueError):
             GradeConfig.load(path)
 
+    @pytest.mark.parametrize(
+        "text", ["rename_cost = 3\nkind_change_cost = 3\n", "delete_cost = -1\n"]
+    )
+    def test_load_rejects_bad_costs(self, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            GradeConfig.load(path)
+
     def test_cutoff_changes_scores(self):
         strict = GradeConfig(zero_cutoff=0.1)
         r1 = score(r"\boxed{\frac{m}{2\pi\hbar^2}}", r"\frac{m}{\pi\hbar^2}", "expression")
         r2 = score(r"\boxed{\frac{m}{2\pi\hbar^2}}", r"\frac{m}{\pi\hbar^2}", "expression", strict)
         assert r1.score > r2.score == 0.0
+
+
+@pytest.fixture
+def canon_calls(monkeypatch):
+    """Count canon.canonicalize calls made from anywhere in seedgrade."""
+    calls = []
+    original = canon.canonicalize
+
+    def counted(node):
+        calls.append(node)
+        return original(node)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("seedgrade") and getattr(module, "canonicalize", None) is original:
+            monkeypatch.setattr(module, "canonicalize", counted)
+    return calls
+
+
+class TestCanonicalizeOnce:
+    @pytest.mark.parametrize(
+        "pred, gt, t, expected",
+        [
+            (r"\boxed{x+y}", "y+x", "expression", 2),
+            (r"\boxed{\frac{m}{2\pi\hbar^2}}", r"\frac{m}{\pi \hbar^2}", "expression", 2),
+            (r"\boxed{m c^2 = E}", "E = m c^2", "equation", 2),
+            (r"\boxed{T \le T_c}", "T < T_c", "equation", 2),
+            (r"\boxed{y = \frac{1}{\sin(0)}}", "y = 1", "equation", 2),
+            (r"\boxed{(1, 2, 4)}", "(1, 2, 3)", "tuple", 6),
+            (r"\boxed{(1, 2)}", "(1, 2, 3)", "tuple", 4),
+            (r"\boxed{[0, L)}", "(0, L)", "interval", 4),
+            (r"\boxed{(0, 2L)}", "(0, L)", "interval", 4),
+            (r"\boxed{3.0 \times 10^{8} \text{ m/s}}", r"2.998 \times 10^{8} \text{ m/s}",
+             "numeric", 0),
+        ],
+    )
+    def test_calls_per_grade(self, canon_calls, pred, gt, t, expected):
+        score(pred, gt, t)
+        assert len(canon_calls) == expected

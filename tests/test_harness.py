@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from seedgrade import harness
 from seedgrade.config import GradeConfig
 from seedgrade.errors import (
     CacheCorrupt,
@@ -108,6 +109,45 @@ class TestGradeRun:
         report = grade_run(self._items(), [("q9", "m", "x")])
         extra = [r for r in report.records if r["id"] == "q9"]
         assert extra and extra[0]["score"] == 0.0
+
+    def test_score_zero_records_serialized(self):
+        report = grade_run(self._items(), [("q1", "m", r"\boxed{2x}"), ("q9", "m", "x")])
+        by_id = {r["id"]: r for r in report.records}
+        zero = {"score": 0.0, "equivalent": False, "distance": None,
+                "relative_distance": None, "edit_script": []}
+        assert by_id["q2"] == {"id": "q2", "model": "m", "topic": "Others",
+                               "answer_type": "expression", **zero,
+                               "diagnostics": ["missing response"]}
+        assert by_id["q9"] == {"id": "q9", "model": "m", "topic": "Others",
+                               "answer_type": "expression", **zero,
+                               "diagnostics": ["response id not in dataset"]}
+
+    def test_inconclusive_equation_does_not_abort_run(self):
+        items = [
+            BenchmarkItem("q1", "Magnetism", AnswerType.EQUATION, "p", "y = 1"),
+            BenchmarkItem("q2", "Others", AnswerType.EXPRESSION, "p", "3y"),
+        ]
+        responses = [("q1", "m", r"\boxed{y = \frac{1}{\sin(0)}}"), ("q2", "m", r"\boxed{3y}")]
+        report = grade_run(items, responses)
+        by_id = {r["id"]: r for r in report.records}
+        assert sorted(by_id) == ["q1", "q2"]
+        assert 0.0 <= by_id["q1"]["score"] <= 100.0
+        assert any(d.startswith("equivalence-inconclusive") for d in by_id["q1"]["diagnostics"])
+        assert by_id["q2"]["score"] == 100.0
+
+    def test_ground_truth_parsed_once_per_answered_item(self, monkeypatch):
+        parsed = []
+        original = harness.parse_ground_truth
+
+        def counted(gt_raw, declared, cfg=GradeConfig()):
+            parsed.append(gt_raw)
+            return original(gt_raw, declared, cfg)
+
+        monkeypatch.setattr(harness, "parse_ground_truth", counted)
+        responses = [("q1", m, r"\boxed{2x}") for m in ("a", "b", "c")]
+        report = grade_run(self._items(), responses)
+        assert len(report.records) == 6
+        assert parsed == ["2x"]  # q2 has no response, so it is never parsed
 
     def test_deterministic(self):
         responses = [("q2", "m", r"\boxed{3y}"), ("q1", "m", r"\boxed{x}")]

@@ -6,10 +6,10 @@ from oracle import brute_distance, label_shape, tree_shapes
 from seedgrade.canon import canonicalize
 from seedgrade.config import GradeConfig
 from seedgrade.nodes import add, mul, num, pow_, sym
-from seedgrade.ted import CostModel, distance_to_score, seed_score, tree_edit_distance
+from seedgrade.ted import distance_to_score, seed_score, tree_edit_distance
 
 x, y = sym("x"), sym("y")
-CM = CostModel()
+CM = GradeConfig()
 
 
 class TestCostModel:
@@ -20,9 +20,9 @@ class TestCostModel:
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
-            CostModel(insert_cost=1, delete_cost=1, rename_cost=3, kind_change_cost=3)
+            GradeConfig(insert_cost=1, delete_cost=1, rename_cost=3, kind_change_cost=3)
         with pytest.raises(ValueError):
-            CostModel(kind_change_cost=0, rename_cost=1)
+            GradeConfig(kind_change_cost=0, rename_cost=1)
 
 
 class TestDistance:
