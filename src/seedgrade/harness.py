@@ -169,8 +169,9 @@ def load_responses(path) -> list:
 def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     """Grade every (item, model) pair. Items a model never answered score 0;
     responses without a matching item are recorded with a diagnostic. Each
-    answered item's ground truth is parsed once and graded against every
-    model's response."""
+    answered item's ground truth is parsed once, and each distinct response
+    text to it is graded once: grading is deterministic, so models that sent
+    the same text share its result."""
     models = sorted({model for _, model, _ in responses})
     response_map = {(i, m): r for i, m, r in responses}
 
@@ -181,14 +182,17 @@ def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     records = []
     for item in items:
         gt = None
+        graded: dict = {}  # response text -> GradeResult
         for model in models:
             text = response_map.pop((item.id, model), None)
             if text is None:
                 result = GradeResult.zero(["missing response"])
+            elif text in graded:
+                result = graded[text]
             else:
                 if gt is None:
                     gt = parse_ground_truth(item.ground_truth, item.answer_type, cfg)
-                result = grade_prediction(text, gt, cfg)
+                result = graded[text] = grade_prediction(text, gt, cfg)
             records.append(record(item.id, model, item.topic, item.answer_type.value, result))
     for (item_id, model), _ in sorted(response_map.items()):
         result = GradeResult.zero(["response id not in dataset"])

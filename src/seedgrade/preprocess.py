@@ -50,7 +50,6 @@ DEFAULT_BOILERPLATE_PREFIXES = (
     "answer",
     "result",
     "solution",
-    "lifetime=",
 )
 
 # Long unit words allowed to survive inside \text{...}

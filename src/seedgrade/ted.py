@@ -4,6 +4,18 @@ Canonical child sorting upstream makes the ordered-tree assumption valid.
 The edit script transforms the prediction's canonical tree into the ground
 truth's; ties between optimal scripts prefer relabels over delete+insert
 for more readable error localization.
+
+The dynamic program works on per-tree postorder arrays built once per pair.
+Each node's (kind, label) is interned to an integer id shared by both trees,
+so a relabel costs 0 for equal ids, rename_cost for equal kinds and
+kind_change_cost otherwise (the same as GradeConfig.relabel) without
+calling label() in the inner loop.  A keyroot pair of two leaves gets no
+table: its distance is the relabel cost, which is exact only because
+GradeConfig enforces kind_change_cost <= insert_cost + delete_cost.  A
+keyroot pair with a leaf on the ground-truth side fills one column instead
+of a table.  The last keyroot pair is the pair of roots, so the backtrace
+starts from the table the forward pass built last instead of building it
+again; it still rebuilds the table of each subtree pair it descends into.
 """
 
 from __future__ import annotations
@@ -36,9 +48,10 @@ class EditOp:
 
 
 class _Annotated:
-    """Postorder node list with leftmost-leaf indices, keyroots, and paths."""
+    """Postorder arrays of one tree: nodes, kinds, interned label ids,
+    leftmost-leaf indices, paths and keyroots."""
 
-    def __init__(self, root: MathNode):
+    def __init__(self, root: MathNode, ids: dict):
         self.nodes: list = []
         self.lml: list = []
         self.paths: list = []
@@ -56,6 +69,8 @@ class _Annotated:
             return self.lml[i]
 
         rec(root, ())
+        self.kinds = [n.kind for n in self.nodes]
+        self.ids = [ids.setdefault((n.kind, n.label()), len(ids)) for n in self.nodes]
         last_per_lml: dict = {}
         for i, l in enumerate(self.lml):
             last_per_lml[l] = i
@@ -65,41 +80,110 @@ class _Annotated:
         return len(self.nodes)
 
 
-def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeConfig):
-    """Forest-distance DP table for the subtree pair rooted at (x, y)."""
-    lx, ly = A.lml[x], B.lml[y]
-    w, h = x - lx + 2, y - ly + 2
-    fd = [[0] * h for _ in range(w)]
-    for di in range(1, w):
-        fd[di][0] = fd[di - 1][0] + cfg.delete_cost
-    for dj in range(1, h):
-        fd[0][dj] = fd[0][dj - 1] + cfg.insert_cost
+def _relabel(A: _Annotated, B: _Annotated, i: int, j: int, cfg: GradeConfig) -> int:
+    """cfg.relabel(A.nodes[i], B.nodes[j]) on the interned ids."""
+    if A.ids[i] == B.ids[j]:
+        return 0
+    return cfg.rename_cost if A.kinds[i] is B.kinds[j] else cfg.kind_change_cost
+
+
+def _columns(B: _Annotated, y: int, cfg: GradeConfig):
+    """What every table of B's subtree y shares: for each column j, the fd
+    row index where the forest left of subtree j ends, and the first fd row."""
+    lmb = B.lml
+    ly = lmb[y]
+    offs = [lmb[j] - ly for j in range(ly, y + 1)]
+    first = [0]
+    for _ in offs:
+        first.append(first[-1] + cfg.insert_cost)
+    return offs, first
+
+
+def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeConfig, cols):
+    """Forest-distance DP table for the subtree pair rooted at (x, y).
+
+    fd[di][dj] is the distance between the forests lml(x)..i and lml(y)..j,
+    with di = i - lml(x) + 1 and dj = j - lml(y) + 1.  Cells where both i
+    and j lie on the leftmost paths of x and y compare whole subtrees and
+    fill td[i][j]; every other cell reads td from an earlier table.
+    """
+    lma, ida, idb, ka, kb = A.lml, A.ids, B.ids, A.kinds, B.kinds
+    dc, ic = cfg.delete_cost, cfg.insert_cost
+    rc, kc = cfg.rename_cost, cfg.kind_change_cost
+    lx, ly = lma[x], B.lml[y]
+    offs, first = cols
+    fd = [first]
+    prow = first
     for i in range(lx, x + 1):
-        di = i - lx + 1
-        ai_lml = A.lml[i]
-        row = fd[di]
-        prow = fd[di - 1]
-        for j in range(ly, y + 1):
-            dj = j - ly + 1
-            if ai_lml == lx and B.lml[j] == ly:
-                cost = min(
-                    prow[dj - 1] + cfg.relabel(A.nodes[i], B.nodes[j]),
-                    prow[dj] + cfg.delete_cost,
-                    row[dj - 1] + cfg.insert_cost,
-                )
-                td[i][j] = cost
-                row[dj] = cost
-            else:
-                row[dj] = min(
-                    fd[ai_lml - lx][B.lml[j] - ly] + td[i][j],
-                    prow[dj] + cfg.delete_cost,
-                    row[dj - 1] + cfg.insert_cost,
-                )
+        tdi = td[i]
+        left = prow[0] + dc
+        row = [left]
+        if lma[i] == lx:
+            # i is on x's leftmost path: columns on y's leftmost path align
+            # whole subtrees, the others extend the empty-prefix row fd[0]
+            for dj, off in enumerate(offs, 1):
+                j = ly + dj - 1
+                up = prow[dj] + dc
+                if off == 0:  # _relabel, inlined
+                    c = prow[dj - 1] + (
+                        0 if ida[i] == idb[j] else rc if ka[i] is kb[j] else kc
+                    )
+                else:
+                    c = first[off] + tdi[j]
+                if up < c:
+                    c = up
+                left += ic
+                if left < c:
+                    c = left
+                if off == 0:
+                    tdi[j] = c
+                row.append(c)
+                left = c
+        else:
+            frow = fd[lma[i] - lx]
+            for off, t, up in zip(offs, tdi[ly : y + 1], prow[1:]):
+                c = frow[off] + t
+                up += dc
+                if up < c:
+                    c = up
+                left += ic
+                if left < c:
+                    c = left
+                row.append(c)
+                left = c
+        fd.append(row)
+        prow = row
     return fd
 
 
-def _backtrace(A, B, x, y, td, cfg, out):
-    fd = _forest_table(A, B, x, y, td, cfg)
+def _leaf_column(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeConfig):
+    """td for the subtree pair (x, y) when y is a leaf: the table has one
+    column besides the empty forest's, and fd[di][0] is di * delete_cost."""
+    lma, ida, ka = A.lml, A.ids, A.kinds
+    dc, ic = cfg.delete_cost, cfg.insert_cost
+    rc, kc = cfg.rename_cost, cfg.kind_change_cost
+    idy, ky = B.ids[y], B.kinds[y]
+    lx = lma[x]
+    up = ic  # fd[di - 1][1]
+    for di, i in enumerate(range(lx, x + 1), 1):
+        if lma[i] == lx:  # _relabel, inlined
+            c = (di - 1) * dc + (0 if ida[i] == idy else rc if ka[i] is ky else kc)
+        else:
+            c = (lma[i] - lx) * dc + td[i][y]
+        up += dc
+        if up < c:
+            c = up
+        left = di * dc + ic
+        if left < c:
+            c = left
+        if lma[i] == lx:
+            td[i][y] = c
+        up = c
+
+
+def _backtrace(A, B, x, y, td, cfg, out, fd=None):
+    if fd is None:
+        fd = _forest_table(A, B, x, y, td, cfg, _columns(B, y, cfg))
     lx, ly = A.lml[x], B.lml[y]
     p, q = x, y
     while p >= lx or q >= ly:
@@ -107,7 +191,7 @@ def _backtrace(A, B, x, y, td, cfg, out):
         if p >= lx and q >= ly:
             aligned = A.lml[p] == lx and B.lml[q] == ly
             if aligned:
-                rl = cfg.relabel(A.nodes[p], B.nodes[q])
+                rl = _relabel(A, B, p, q, cfg)
                 if fd[di][dj] == fd[di - 1][dj - 1] + rl:
                     out.append(
                         EditOp(
@@ -143,15 +227,31 @@ def tree_edit_distance(a, b, cfg: GradeConfig = GradeConfig(), include_matches: 
     """Exact minimal edit cost and one optimal edit script from a to b."""
     ra = a.root if isinstance(a, CanonicalTree) else a
     rb = b.root if isinstance(b, CanonicalTree) else b
-    A, B = _Annotated(ra), _Annotated(rb)
+    ids: dict = {}
+    A, B = _Annotated(ra, ids), _Annotated(rb, ids)
     n, m = len(A), len(B)
     td = [[0] * m for _ in range(n)]
-    for x in A.keyroots:
-        for y in B.keyroots:
-            _forest_table(A, B, x, y, td, cfg)
+    fd = None
+    # Table (x, y) reads td only of pairs (x', y') with x' <= x and y' <= y,
+    # so B's keyroots can be the outer loop: each one builds its columns once.
+    for y in B.keyroots:
+        if B.lml[y] == y:
+            for x in A.keyroots:
+                if A.lml[x] == x:
+                    # a leaf pair: relabel <= kind_change <= insert + delete
+                    # (GradeConfig enforces it), so its 2x2 table holds the relabel
+                    td[x][y] = _relabel(A, B, x, y, cfg)
+                else:
+                    _leaf_column(A, B, x, y, td, cfg)
+        else:
+            cols = _columns(B, y, cfg)
+            for x in A.keyroots:
+                fd = _forest_table(A, B, x, y, td, cfg, cols)
     distance = td[n - 1][m - 1]
     ops: list = []
-    _backtrace(A, B, n - 1, m - 1, td, cfg, ops)
+    # (n-1, m-1) is the last keyroot pair, so fd is the root table, or None
+    # when b is a single node and the root pair took a leaf path
+    _backtrace(A, B, n - 1, m - 1, td, cfg, ops, fd)
     ops.reverse()
     if not include_matches:
         ops = [o for o in ops if o.op != "match"]

@@ -101,7 +101,12 @@ def _products(choice_lists):
             yield [head] + tail
 
 
-def label_shape(shape, rng, alphabet="abc") -> MathNode:
-    """Attach random labels from the alphabet to a tree shape."""
-    children = tuple(label_shape(c, rng, alphabet) for c in shape)
-    return MathNode(Kind.FUNCTION, rng.choice(alphabet), children)
+def label_shape(shape, rng, alphabet="abc", kinds=(Kind.FUNCTION,)) -> MathNode:
+    """Attach random labels from the alphabet to a tree shape.
+
+    With more than one kind, each node also draws its kind; a single kind
+    draws nothing for it, so the label sequence for a seed stays the same.
+    """
+    children = tuple(label_shape(c, rng, alphabet, kinds) for c in shape)
+    kind = rng.choice(kinds) if len(kinds) > 1 else kinds[0]
+    return MathNode(kind, rng.choice(alphabet), children)

@@ -122,6 +122,27 @@ class TestGradeRun:
                                "answer_type": "expression", **zero,
                                "diagnostics": ["response id not in dataset"]}
 
+    def test_identical_responses_graded_once(self, monkeypatch):
+        responses = [
+            ("q1", "m1", r"\boxed{2x}"), ("q1", "m2", r"\boxed{3x}"), ("q1", "m3", r"\boxed{2x}"),
+            ("q2", "m1", r"\boxed{3y + 1}"), ("q2", "m2", r"\boxed{3y + 1}"), ("q2", "m3", "y"),
+        ]
+        # one run per model: no item has a duplicate response within a run
+        alone = []
+        for model in ("m1", "m2", "m3"):
+            alone += grade_run(self._items(), [r for r in responses if r[1] == model]).records
+        calls = []
+
+        def counting(text, gt, cfg):
+            calls.append((text, gt))
+            return real(text, gt, cfg)
+
+        real = harness.grade_prediction
+        monkeypatch.setattr(harness, "grade_prediction", counting)
+        report = grade_run(self._items(), responses)
+        assert report.records == sorted(alone, key=lambda r: (r["model"], r["id"]))
+        assert len(calls) == 4  # 2 distinct texts for q1, 2 for q2
+
     def test_inconclusive_equation_does_not_abort_run(self):
         items = [
             BenchmarkItem("q1", "Magnetism", AnswerType.EQUATION, "p", "y = 1"),

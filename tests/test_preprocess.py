@@ -1,6 +1,8 @@
 import pytest
 
 from seedgrade.errors import EmptyResponse, Unbalanceable
+from seedgrade.grader import grade
+from seedgrade.nodes import AnswerType
 from seedgrade.preprocess import canonicalize_latex, extract_final_answer
 
 
@@ -68,6 +70,18 @@ class TestBoilerplate:
 
     def test_trailing_period(self):
         assert clean("x + y.") == "x + y"
+
+    def test_lifetime_is_an_ordinary_name(self):
+        # no prefix for one quantity's name: "lifetime=" takes the generic
+        # `name = expr` path, where the expression parser keeps the right side
+        out = canonicalize_latex("lifetime=2x")
+        assert out.text == "lifetime=2x" and "boilerplate" not in out.notes
+        assert extract_final_answer("lifetime=2x") == "lifetime=2x"
+        got = grade(r"lifetime=\frac{1}{2x}", r"\frac{1}{2x}", AnswerType.EXPRESSION)
+        assert got.score == 100.0
+        other = grade(r"tau=\frac{1}{3x}", r"\frac{1}{2x}", AnswerType.EXPRESSION)
+        renamed = grade(r"lifetime=\frac{1}{3x}", r"\frac{1}{2x}", AnswerType.EXPRESSION)
+        assert renamed.to_dict() == other.to_dict()
 
 
 class TestBalance:

@@ -1,15 +1,91 @@
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from oracle import brute_distance, label_shape, tree_shapes
 from seedgrade.canon import canonicalize
 from seedgrade.config import GradeConfig
-from seedgrade.nodes import add, mul, num, pow_, sym
-from seedgrade.ted import distance_to_score, seed_score, tree_edit_distance
+from seedgrade.nodes import Kind, MathNode, add, func, mul, num, pow_, sym
+from seedgrade.ted import _Annotated, _relabel, distance_to_score, seed_score, tree_edit_distance
 
 x, y = sym("x"), sym("y")
 CM = GradeConfig()
+# rename < kind change < insert + delete, with insert != delete so that the
+# direction of an edit shows in the cost
+SKEWED = GradeConfig(insert_cost=2, delete_cost=3, rename_cost=1, kind_change_cost=4)
+# for label_shape: a FUNCTION and a SYMBOL with the same letter share a label
+# but differ in kind, and every ADD reads "+" whatever its letter
+MIXED_KINDS = (Kind.FUNCTION, Kind.SYMBOL, Kind.ADD)
+
+
+def _random_node(rng, children=()):
+    # labels collide across kinds: SYMBOL "1" and NUMBER 1 both read "1"
+    kind = rng.choice((Kind.SYMBOL, Kind.FUNCTION, Kind.NUMBER, Kind.ADD, Kind.MUL))
+    if kind is Kind.NUMBER:
+        payload = Fraction(rng.randint(1, 3))
+    elif kind in (Kind.ADD, Kind.MUL):
+        payload = None
+    else:
+        payload = rng.choice(("a", "b", "1"))
+    return MathNode(kind, payload, children)
+
+
+def _random_tree(rng, size):
+    """A random tree of exactly `size` nodes with mixed kinds and labels."""
+    if size == 1:
+        return _random_node(rng)
+    rest, sizes = size - 1, []
+    while rest:
+        part = rng.randint(1, min(rest, max(1, size // 2)))
+        sizes.append(part)
+        rest -= part
+    return _random_node(rng, tuple(_random_tree(rng, s) for s in sizes))
+
+
+def _mutate(rng, node, p):
+    """Near-miss copy: each node is relabelled, dropped (its children
+    spliced into the parent) or wrapped in a new node with probability p."""
+    kids = []
+    for c in node.children:
+        m = _mutate(rng, c, p)
+        if len(node.children) > 1 and rng.random() < p / 3:
+            kids.extend(m.children)
+        else:
+            kids.append(m)
+    out = MathNode(node.kind, node.payload, tuple(kids))
+    if rng.random() < p:
+        out = _random_node(rng, out.children)
+    if rng.random() < p / 3:
+        out = _random_node(rng, (out,))
+    return out
+
+
+def _at(node, path):
+    for i in path:
+        node = node.children[i]
+    return node
+
+
+def _script_cost(a, b, ops, cfg):
+    """What an edit script costs, each relabel priced by GradeConfig.relabel."""
+    cost = 0
+    for o in ops:
+        if o.op == "insert":
+            cost += cfg.insert_cost
+        elif o.op == "delete":
+            cost += cfg.delete_cost
+        else:
+            cost += cfg.relabel(_at(a, o.path), _at(b, o.target_path))
+    return cost
+
+
+def _chain(depth):
+    node = sym("x")
+    for _ in range(depth):
+        node = func("f", node)
+    return node
 
 
 class TestCostModel:
@@ -17,6 +93,25 @@ class TestCostModel:
         assert CM.relabel(x, x) == 0
         assert CM.relabel(x, y) == 1
         assert CM.relabel(x, num(1)) == 2  # kind change
+
+    @pytest.mark.parametrize("cfg", [CM, SKEWED], ids=["default", "skewed"])
+    def test_interned_cost_is_relabel(self, cfg):
+        rng = random.Random(11)
+        a, b = _random_tree(rng, 60), _random_tree(rng, 60)
+        ids: dict = {}
+        A, B = _Annotated(a, ids), _Annotated(b, ids)
+        assert len(set(A.kinds + B.kinds)) >= 4
+        seen = set()
+        for i, na in enumerate(A.nodes):
+            for j, nb in enumerate(B.nodes):
+                want = cfg.relabel(na, nb)
+                assert _relabel(A, B, i, j, cfg) == want
+                seen.add(want)
+        assert seen == {0, cfg.rename_cost, cfg.kind_change_cost}
+        # equal labels of different kinds are a kind change, not a match
+        ids = {}
+        A, B = _Annotated(sym("1"), ids), _Annotated(num(1), ids)
+        assert _relabel(A, B, 0, 0, cfg) == cfg.kind_change_cost
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
@@ -70,6 +165,67 @@ class TestAgainstOracle:
             got, _ = tree_edit_distance(a, b, CM)
             want = brute_distance(a, b, CM)
             assert got == want, f"{a!r} vs {b!r}: {got} != {want}"
+
+    @pytest.mark.parametrize("cfg", [CM, SKEWED], ids=["default", "skewed"])
+    def test_mixed_kinds(self, cfg):
+        rng = random.Random(4099)
+        pool = [s for n in range(1, 6) for s in tree_shapes(n)]
+        for _ in range(300):
+            a = label_shape(rng.choice(pool), rng, "ab", MIXED_KINDS)
+            b = label_shape(rng.choice(pool), rng, "ab", MIXED_KINDS)
+            got, ops = tree_edit_distance(a, b, cfg)
+            want = brute_distance(a, b, cfg)
+            assert got == want, f"{a!r} vs {b!r}: {got} != {want}"
+            assert _script_cost(a, b, ops, cfg) == got
+
+
+class TestGoldenScripts:
+    """Distances and edit scripts of seeded pairs, pinned by a sha256 digest:
+    a faster DP must keep picking the same optimal script among ties."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(1989)
+        pairs = []
+        for _ in range(6):
+            a = _random_tree(rng, rng.randint(20, 150))
+            pairs.append((a, _mutate(rng, a, 0.08)))
+        for _ in range(2):
+            pairs.append((_random_tree(rng, rng.randint(20, 60)),
+                          _random_tree(rng, rng.randint(20, 60))))
+        leaf_a, leaf_b = sym("a"), func("a")
+        deep = _chain(40)
+        pairs += [
+            (leaf_a, leaf_a), (leaf_a, sym("b")), (leaf_a, leaf_b), (leaf_a, num(1)),
+            (leaf_a, deep), (deep, leaf_a), (sym("x"), deep), (deep, _chain(37)),
+            (pairs[0][0], pairs[0][0]),
+        ]
+        return pairs
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        for a, b in self._cases():
+            for cfg in (CM, SKEWED):
+                for include in (False, True):
+                    d, ops = tree_edit_distance(a, b, cfg, include_matches=include)
+                    for o in ops:
+                        h.update(repr((d, str(o), o.path, o.target_path)).encode())
+                    h.update(f"|{d}|{len(ops)}\n".encode())
+        assert h.hexdigest() == GOLDEN_SCRIPTS
+
+    def test_edge_cases(self):
+        a = sym("a")
+        assert tree_edit_distance(a, a) == (0, [])
+        assert tree_edit_distance(a, sym("b"), SKEWED)[0] == SKEWED.rename_cost
+        assert tree_edit_distance(a, func("a"), SKEWED)[0] == SKEWED.kind_change_cost
+        d, ops = tree_edit_distance(sym("x"), _chain(40))
+        assert d == 40 and [o.op for o in ops] == ["insert"] * 40
+        t = self._cases()[0][0]
+        d, ops = tree_edit_distance(t, t, SKEWED, include_matches=True)
+        assert d == 0 and len(ops) == t.size() and {o.op for o in ops} == {"match"}
+
+
+GOLDEN_SCRIPTS = "d08fdecaf2daccc1726fce73fc0d231fcc4f66eb4efc70cf95f183e801660abb"
 
 
 class TestScoreMapping:
