@@ -1,0 +1,108 @@
+#!/usr/bin/env python3
+"""Tree edit distance time against tree size and number of edits.
+
+Usage:
+    python scripts/ted_ladder.py [--seed 1] [--sizes 25,50,100,200,400] [--repeat 3]
+
+For each size it builds a seeded random polynomial tree (a sum of products
+of symbols, numbers and powers, the shape of large physics answers) and a
+copy 0, 1, 3 or 10 random edits away (relabel a leaf, drop a term, add a
+term), plus an unrelated tree of the same size ("far").  Each cell prints the
+best of --repeat timings of `tree_edit_distance` in ms, the distance, and the
+DP it took: "s<w>" for a strip of w diagonals, "full" for the full table.
+"""
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from seedgrade.config import GradeConfig  # noqa: E402
+from seedgrade.nodes import MathNode, add, mul, num, pow_, sym  # noqa: E402
+from seedgrade.ted import _Annotated, _solve, tree_edit_distance  # noqa: E402
+
+EDITS = (0, 1, 3, 10)
+NAMES = [f"x_{i}" for i in range(30)]
+
+
+def _term(rng) -> MathNode:
+    factors = [num(rng.randint(2, 9))]
+    for _ in range(rng.randint(1, 3)):
+        s = sym(rng.choice(NAMES))
+        factors.append(pow_(s, num(rng.randint(2, 4))) if rng.random() < 0.4 else s)
+    return mul(*factors)
+
+
+def polynomial(rng, size: int) -> MathNode:
+    terms = []
+    while 1 + sum(t.size() for t in terms) < size:
+        terms.append(_term(rng))
+    return add(*terms)
+
+
+def _relabel_leaf(rng, node: MathNode) -> MathNode:
+    if not node.children:
+        return sym(rng.choice(NAMES))
+    k = rng.randrange(len(node.children))
+    kids = list(node.children)
+    kids[k] = _relabel_leaf(rng, kids[k])
+    return MathNode(node.kind, node.payload, tuple(kids))
+
+
+def edit(rng, tree: MathNode) -> MathNode:
+    terms = list(tree.children)
+    op = rng.random()
+    if op < 0.5:
+        k = rng.randrange(len(terms))
+        terms[k] = _relabel_leaf(rng, terms[k])
+    elif op < 0.75 and len(terms) > 1:
+        del terms[rng.randrange(len(terms))]
+    else:
+        terms.insert(rng.randrange(len(terms) + 1), _term(rng))
+    return add(*terms)
+
+
+def _dp(a: MathNode, b: MathNode, cfg: GradeConfig) -> str:
+    ids: dict = {}
+    A, B = _Annotated(a, ids), _Annotated(b, ids)
+    lo, hi, _, _ = _solve(A, B, cfg)
+    return "full" if (lo, hi) == (-len(B), len(A)) else f"s{hi - lo + 1}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--sizes", default="25,50,100,200,400")
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+
+    cfg = GradeConfig()
+    rng = random.Random(args.seed)
+    columns = [f"{k} edits" for k in EDITS] + ["far"]
+    print(f"{'nodes':>5} " + " ".join(f"{c:>22}" for c in columns))
+    for size in (int(s) for s in args.sizes.split(",")):
+        gt = polynomial(rng, size)
+        preds = []
+        for k in EDITS:
+            pred = gt
+            for _ in range(k):
+                pred = edit(rng, pred)
+            preds.append(pred)
+        preds.append(polynomial(rng, size))
+        cells = []
+        for pred in preds:
+            best = float("inf")
+            for _ in range(args.repeat):
+                t = time.perf_counter()
+                d, _ = tree_edit_distance(pred, gt, cfg)
+                best = min(best, time.perf_counter() - t)
+            cells.append(f"{best * 1e3:8.1f} ms d={d:<3} {_dp(pred, gt, cfg):>4}")
+        print(f"{gt.size():>5} " + " ".join(f"{c:>22}" for c in cells))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

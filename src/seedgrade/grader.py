@@ -176,11 +176,22 @@ def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeCon
 
 
 def grade_prediction(pred_raw: str, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
-    """Grade one raw prediction text against an already parsed ground truth."""
-    pred, diagnostics = _parse_prediction(pred_raw, gt.answer_type, cfg)
-    if pred is None:
-        return GradeResult.zero(diagnostics)
-    result = grade_parsed(pred, gt, cfg)
+    """Grade one raw prediction text against an already parsed ground truth.
+
+    Any other exception than a GradingError while grading the prediction (a
+    RecursionError on deep nesting, Python's int-to-str digit limit on a huge
+    folded power) becomes a score-0 result with an `internal-error:<Type>`
+    diagnostic, so that one prediction never aborts a batch run.
+    """
+    try:
+        pred, diagnostics = _parse_prediction(pred_raw, gt.answer_type, cfg)
+        if pred is None:
+            return GradeResult.zero(diagnostics)
+        result = grade_parsed(pred, gt, cfg)
+    except GradingError:
+        raise
+    except Exception as exc:
+        return GradeResult.zero([f"internal-error:{type(exc).__name__}"])
     result.diagnostics = diagnostics + result.diagnostics
     return result
 

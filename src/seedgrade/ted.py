@@ -13,19 +13,57 @@ calling label() in the inner loop.  A keyroot pair of two leaves gets no
 table: its distance is the relabel cost, which is exact only because
 GradeConfig enforces kind_change_cost <= insert_cost + delete_cost.  A
 keyroot pair with a leaf on the ground-truth side fills one column instead
-of a table.  The last keyroot pair is the pair of roots, so the backtrace
-starts from the table the forward pass built last instead of building it
-again; it still rebuilds the table of each subtree pair it descends into.
+of a table.
+
+The strip.  Every cell of the DP, in any table, compares the postorder
+prefixes 0..i of a and 0..j of b (i = -1 or j = -1 for an empty one).  A
+mapping passes through the cell only if it maps those prefixes into each
+other, so it deletes at least i - j nodes there when i > j and inserts at
+least j - i when j > i, and the same holds for the suffixes after i and j.
+A mapping of cost <= K therefore only passes through cells whose diagonal
+i - j lies in a range [lo, hi] fixed by K, the two tree sizes and the insert
+and delete costs (Touzet, CPM 2005, with the suffix term added).  The
+forward pass fills only those cells; the others hold +inf, so every value it
+computes is the cost of some edit script and never below the true one, and
+on every cell of an optimal mapping of cost <= K it is the true one.  A root
+value <= K is then the exact distance.  The backtrace tests the same
+candidates in the same order and an equality holds exactly where it holds in
+the full table (a candidate on an optimal mapping is exact; any other one is
+too large in both), so the edit script is the one the full table gives.
+A table (x, y) writes td only where both nodes lie on the leftmost paths of
+x and y, so only the keyroot pairs with such a cell on the strip get a
+table, each one ends at the last row such a cell needs, and its rows before
+the strip are never iterated.
+
+K starts at the edit distance between the postorder label sequences of the
+two trees: a tree mapping is also an alignment of those sequences at the
+same cost, so it is a lower bound, and for a few edits it is usually the
+distance itself.  That sequence distance is found the same way, on a strip
+from a bound on the (kind, label) multisets, which sends pairs that share
+few labels to the full table without a pass.  When a pass returns a value
+above K, the value is an upper bound, and the pass reruns with
+K = min(2K, value).  The full table runs instead when the strip would span more diagonals than
+STRIP_SHARE of the smaller tree's nodes (near that width the strip saves
+little and its reruns cost more; scripts/ted_ladder.py shows the switch)
+and when insert_cost or delete_cost is 0 (the strip is then unbounded).  The
+backtrace starts from the root table of the forward pass and rebuilds, on
+the same strip, the table of each subtree pair it descends into.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .canon import CanonicalTree, as_canonical, equivalent
 from .config import GradeConfig
 from .errors import Inconclusive
 from .nodes import MathNode
+
+INF = float("inf")
+# the full table runs when the strip is wider than this share of the smaller tree
+STRIP_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -49,7 +87,8 @@ class EditOp:
 
 class _Annotated:
     """Postorder arrays of one tree: nodes, kinds, interned label ids,
-    leftmost-leaf indices, paths and keyroots."""
+    leftmost-leaf indices, paths, keyroots, and for each node the keyroot
+    whose leftmost path holds it."""
 
     def __init__(self, root: MathNode, ids: dict):
         self.nodes: list = []
@@ -75,6 +114,7 @@ class _Annotated:
         for i, l in enumerate(self.lml):
             last_per_lml[l] = i
         self.keyroots = sorted(last_per_lml.values())
+        self.owner = [last_per_lml[l] for l in self.lml]
 
     def __len__(self):
         return len(self.nodes)
@@ -85,6 +125,64 @@ def _relabel(A: _Annotated, B: _Annotated, i: int, j: int, cfg: GradeConfig) -> 
     if A.ids[i] == B.ids[j]:
         return 0
     return cfg.rename_cost if A.kinds[i] is B.kinds[j] else cfg.kind_change_cost
+
+
+def _strip(n: int, m: int, k, cfg: GradeConfig):
+    """(lo, hi): the diagonals i - j of the cells that a mapping of cost <= k
+    between trees of n and m nodes can pass through.  Such a cell costs at
+    least g(i - j) + g((n - m) - (i - j)), where g(t) is t deletions for
+    t > 0 and -t insertions for t < 0.  Needs insert and delete costs > 0
+    and k >= g(n - m), which every caller keeps, so lo <= 0 <= hi and the
+    root cell's diagonal n - m lies in [lo, hi]."""
+    dc, ic = cfg.delete_cost, cfg.insert_cost
+    both = dc + ic
+    return -int((k - (n - m) * dc) // both), int((k + (n - m) * ic) // both)
+
+
+def _label_bound(A: _Annotated, B: _Annotated, cfg: GradeConfig):
+    """A lower bound on both distances from the (kind, label) multisets: a
+    node with no equal partner left in the other tree is deleted, inserted
+    or relabelled, and a relabel costs at least rename_cost.  It is at
+    least the size-difference bound."""
+    common = sum((Counter(A.ids) & Counter(B.ids)).values())
+    da, db = len(A) - common, len(B) - common
+    both = min(da, db)
+    return both * cfg.rename_cost + (da - both) * cfg.delete_cost + (db - both) * cfg.insert_cost
+
+
+def _sequence_distance(A: _Annotated, B: _Annotated, cfg: GradeConfig, lo: int, hi: int):
+    """Edit distance between the postorder label sequences of A and B over
+    the cells of the strip [lo, hi]: a lower bound on the tree distance,
+    exact when it is within the strip's bound.  Row di keeps the cell of
+    diagonal di - dj = lo + p at index p, plus a trailing +inf that the
+    first and last diagonals read as their off-strip neighbour."""
+    ida, idb, ka, kb = A.ids, B.ids, A.kinds, B.kinds
+    dc, ic = cfg.delete_cost, cfg.insert_cost
+    rc, kc = cfg.rename_cost, cfg.kind_change_cost
+    n, m = len(A), len(B)
+    width = hi - lo + 1
+    prow = [-(lo + p) * ic if 0 <= -(lo + p) <= m else INF for p in range(width)] + [INF]
+    for di in range(1, n + 1):
+        row = [INF] * (width + 1)
+        if di <= hi:  # column 0
+            row[di - lo] = di * dc
+        first = di - hi if di - hi > 1 else 1
+        stop = di - lo if di - lo < m else m
+        left = row[di - first + 1 - lo]
+        ia, ka_i = ida[di - 1], ka[di - 1]
+        j = first - 1
+        for p in range(di - first - lo, di - stop - lo - 1, -1):
+            c = prow[p] + (0 if ia == idb[j] else rc if ka_i is kb[j] else kc)
+            up = prow[p - 1] + dc
+            if up < c:
+                c = up
+            left += ic
+            if left < c:
+                c = left
+            row[p] = left = c
+            j += 1
+        prow = row
+    return prow[n - m - lo], None
 
 
 def _columns(B: _Annotated, y: int, cfg: GradeConfig):
@@ -99,29 +197,45 @@ def _columns(B: _Annotated, y: int, cfg: GradeConfig):
     return offs, first
 
 
-def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeConfig, cols):
-    """Forest-distance DP table for the subtree pair rooted at (x, y).
+def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeConfig, cols, lo: int, hi: int, last: int):
+    """Forest-distance DP table for the subtree pair rooted at (x, y), filled
+    on the strip lo <= i - j <= hi up to row i = last.
 
     fd[di][dj] is the distance between the forests lml(x)..i and lml(y)..j,
     with di = i - lml(x) + 1 and dj = j - lml(y) + 1.  Cells where both i
     and j lie on the leftmost paths of x and y compare whole subtrees and
-    fill td[i][j]; every other cell reads td from an earlier table.
+    fill td[i][j]; every other cell reads td from an earlier table.  Row 0
+    and column 0 hold their exact values, other cells off the strip +inf.
     """
     lma, ida, idb, ka, kb = A.lml, A.ids, B.ids, A.kinds, B.kinds
     dc, ic = cfg.delete_cost, cfg.insert_cost
     rc, kc = cfg.rename_cost, cfg.kind_change_cost
     lx, ly = lma[x], B.lml[y]
     offs, first = cols
-    fd = [first]
-    prow = first
-    for i in range(lx, x + 1):
+    w = len(offs)
+    shift = lx - ly  # cell (di, dj) lies on the diagonal shift + di - dj
+    blank = [INF] * (w + 1)
+    top = max(1, lo - shift)
+    fd = [first] + [blank] * (top - 1)
+    prow = fd[-1]
+    for di in range(top, last - lx + 2):
+        i = lx + di - 1
         tdi = td[i]
-        left = prow[0] + dc
-        row = [left]
+        row = blank[:]
+        left = row[0] = di * dc
+        a = shift + di - hi
+        if a > 1:
+            left = INF
+        else:
+            a = 1
+        b = shift + di - lo
+        if b > w:
+            b = w
         if lma[i] == lx:
             # i is on x's leftmost path: columns on y's leftmost path align
             # whole subtrees, the others extend the empty-prefix row fd[0]
-            for dj, off in enumerate(offs, 1):
+            for dj in range(a, b + 1):
+                off = offs[dj - 1]
                 j = ly + dj - 1
                 up = prow[dj] + dc
                 if off == 0:  # _relabel, inlined
@@ -137,11 +251,12 @@ def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeCo
                     c = left
                 if off == 0:
                     tdi[j] = c
-                row.append(c)
-                left = c
+                row[dj] = left = c
         else:
             frow = fd[lma[i] - lx]
-            for off, t, up in zip(offs, tdi[ly : y + 1], prow[1:]):
+            for dj, off, t, up in zip(
+                range(a, b + 1), offs[a - 1 : b], tdi[ly + a - 1 : ly + b], prow[a : b + 1]
+            ):
                 c = frow[off] + t
                 up += dc
                 if up < c:
@@ -149,23 +264,25 @@ def _forest_table(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeCo
                 left += ic
                 if left < c:
                     c = left
-                row.append(c)
-                left = c
+                row[dj] = left = c
         fd.append(row)
         prow = row
     return fd
 
 
-def _leaf_column(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeConfig):
-    """td for the subtree pair (x, y) when y is a leaf: the table has one
-    column besides the empty forest's, and fd[di][0] is di * delete_cost."""
+def _leaf_column(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeConfig, lo: int, last: int):
+    """td for the subtree pair (x, y) when y is a leaf, on the strip from
+    lo up to row i = last: the table has one column besides the empty
+    forest's, and fd[di][0] is di * delete_cost."""
     lma, ida, ka = A.lml, A.ids, A.kinds
     dc, ic = cfg.delete_cost, cfg.insert_cost
     rc, kc = cfg.rename_cost, cfg.kind_change_cost
     idy, ky = B.ids[y], B.kinds[y]
     lx = lma[x]
-    up = ic  # fd[di - 1][1]
-    for di, i in enumerate(range(lx, x + 1), 1):
+    start = max(lx, y + lo)
+    up = ic if start == lx else INF  # fd[di - 1][1]
+    for i in range(start, last + 1):
+        di = i - lx + 1
         if lma[i] == lx:  # _relabel, inlined
             c = (di - 1) * dc + (0 if ida[i] == idy else rc if ka[i] is ky else kc)
         else:
@@ -181,9 +298,91 @@ def _leaf_column(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeCon
         up = c
 
 
-def _backtrace(A, B, x, y, td, cfg, out, fd=None):
+def _pairs(A: _Annotated, B: _Annotated, lo: int, hi: int):
+    """(y, xs, lasts) for each keyroot y of B: the keyroots x of A whose
+    table (x, y) fills a td cell on the strip [lo, hi], in ascending order,
+    and for each one the last row i = last that such a cell needs.  Table
+    (x, y) reads td only of pairs (x', y') with x' <= x and y' <= y, so B's
+    keyroots can be the outer loop and each one builds its columns once.
+    Table (x, y) fills td only on the leftmost paths of x and y, which hold
+    exactly the nodes that x and y own, so it is needed when a node i owned
+    by x and a node j owned by y lie on the strip."""
+    n, m = len(A), len(B)
+    if lo <= -m and hi >= n:  # the full table: every pair, each up to its root row x
+        return [(y, A.keyroots, A.keyroots) for y in B.keyroots]
+    ob = B.owner
+    need: dict = {}
+    for i, x in enumerate(A.owner):
+        need.update(zip(zip(ob[max(0, i - hi) : i - lo + 1], repeat(x)), repeat(i)))
+    rows: dict = {}
+    for (y, x), last in sorted(need.items()):
+        xs, lasts = rows.setdefault(y, ([], []))
+        xs.append(x)
+        lasts.append(last)
+    return [(y, xs, lasts) for y, (xs, lasts) in rows.items()]
+
+
+def _forward(A: _Annotated, B: _Annotated, cfg: GradeConfig, lo: int, hi: int):
+    """The Zhang–Shasha forward pass on the strip [lo, hi]: the root value
+    and (td, the root table), or (td, None) when b is a single node."""
+    n, m = len(A), len(B)
+    lma, ida, ka = A.lml, A.ids, A.kinds
+    rc, kc = cfg.rename_cost, cfg.kind_change_cost
+    td = [[INF] * m for _ in range(n)]
+    fd = None
+    for y, xs, lasts in _pairs(A, B, lo, hi):
+        if B.lml[y] == y:
+            idy, ky = B.ids[y], B.kinds[y]
+            for x, last in zip(xs, lasts):
+                if lma[x] == x:
+                    # a leaf pair: relabel <= kind_change <= insert + delete
+                    # (GradeConfig enforces it), so its 2x2 table holds the
+                    # relabel (_relabel, inlined)
+                    td[x][y] = 0 if ida[x] == idy else rc if ka[x] is ky else kc
+                else:
+                    _leaf_column(A, B, x, y, td, cfg, lo, last)
+        else:
+            cols = _columns(B, y, cfg)
+            for x, last in zip(xs, lasts):
+                fd = _forest_table(A, B, x, y, td, cfg, cols, lo, hi, last)
+    # the root pair (n-1, m-1) is on every strip and comes last
+    return td[n - 1][m - 1], (td, fd)
+
+
+def _exact(run, A: _Annotated, B: _Annotated, cfg: GradeConfig, k):
+    """Run `run` on the strip of bound k, then of wider bounds, until its
+    value is within the bound and so exact: (value, lo, hi, run's state).
+    None once the strip would be wider than STRIP_SHARE of the smaller tree."""
+    n, m = len(A), len(B)
+    while True:
+        lo, hi = _strip(n, m, k, cfg)
+        if hi - lo + 1 > STRIP_SHARE * min(n, m):
+            return None
+        value, state = run(A, B, cfg, lo, hi)
+        if value <= k:
+            return value, lo, hi, state
+        k = min(2 * k, value)
+
+
+def _solve(A: _Annotated, B: _Annotated, cfg: GradeConfig):
+    """(lo, hi, td, fd) of a forward pass whose root value is exact: on a
+    strip when one is narrow enough, else on the full table."""
+    n, m = len(A), len(B)
+    dc, ic = cfg.delete_cost, cfg.insert_cost
+    if dc and ic:
+        bound = _exact(_sequence_distance, A, B, cfg, max(1, _label_bound(A, B, cfg)))
+        if bound is not None:
+            found = _exact(_forward, A, B, cfg, max(1, bound[0]))
+            if found is not None:
+                _, lo, hi, (td, fd) = found
+                return lo, hi, td, fd
+    td, fd = _forward(A, B, cfg, -m, n)[1]
+    return -m, n, td, fd
+
+
+def _backtrace(A, B, x, y, td, cfg, lo, hi, out, fd=None):
     if fd is None:
-        fd = _forest_table(A, B, x, y, td, cfg, _columns(B, y, cfg))
+        fd = _forest_table(A, B, x, y, td, cfg, _columns(B, y, cfg), lo, hi, x)
     lx, ly = A.lml[x], B.lml[y]
     p, q = x, y
     while p >= lx or q >= ly:
@@ -208,7 +407,7 @@ def _backtrace(A, B, x, y, td, cfg, out, fd=None):
             else:
                 jump_i, jump_j = A.lml[p] - lx, B.lml[q] - ly
                 if fd[di][dj] == fd[jump_i][jump_j] + td[p][q]:
-                    _backtrace(A, B, p, q, td, cfg, out)
+                    _backtrace(A, B, p, q, td, cfg, lo, hi, out)
                     p = A.lml[p] - 1
                     q = B.lml[q] - 1
                     continue
@@ -230,28 +429,12 @@ def tree_edit_distance(a, b, cfg: GradeConfig = GradeConfig(), include_matches: 
     ids: dict = {}
     A, B = _Annotated(ra, ids), _Annotated(rb, ids)
     n, m = len(A), len(B)
-    td = [[0] * m for _ in range(n)]
-    fd = None
-    # Table (x, y) reads td only of pairs (x', y') with x' <= x and y' <= y,
-    # so B's keyroots can be the outer loop: each one builds its columns once.
-    for y in B.keyroots:
-        if B.lml[y] == y:
-            for x in A.keyroots:
-                if A.lml[x] == x:
-                    # a leaf pair: relabel <= kind_change <= insert + delete
-                    # (GradeConfig enforces it), so its 2x2 table holds the relabel
-                    td[x][y] = _relabel(A, B, x, y, cfg)
-                else:
-                    _leaf_column(A, B, x, y, td, cfg)
-        else:
-            cols = _columns(B, y, cfg)
-            for x in A.keyroots:
-                fd = _forest_table(A, B, x, y, td, cfg, cols)
+    lo, hi, td, fd = _solve(A, B, cfg)
     distance = td[n - 1][m - 1]
     ops: list = []
     # (n-1, m-1) is the last keyroot pair, so fd is the root table, or None
     # when b is a single node and the root pair took a leaf path
-    _backtrace(A, B, n - 1, m - 1, td, cfg, ops, fd)
+    _backtrace(A, B, n - 1, m - 1, td, cfg, lo, hi, ops, fd)
     ops.reverse()
     if not include_matches:
         ops = [o for o in ops if o.op != "match"]

@@ -61,12 +61,48 @@ class TestEquation:
         r = score(r"\boxed{m c^2}", "E = m c^2", "equation")
         assert r.score == 0.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="standardize_relation builds lhs + (-1)*rhs without spreading the -1 "
+        "over a sum, so the two sides-swapped forms standardize with opposite signs",
+    )
+    def test_sides_swapped_sum(self):
+        # scores 36.4 today, after a distance fallback
+        assert score(r"\boxed{x^2 + 2x = y}", "y = x^2 + 2x", "equation").score == 100.0
+
     def test_inconclusive_falls_back_to_distance(self):
         # every sample point is a pole of 1/sin(0), so equivalence is undecided
         r = score(r"\boxed{y = \frac{1}{\sin(0)}}", "y = 1", "equation")
         assert 0.0 <= r.score <= 100.0
         assert not r.equivalent
         assert any(d.startswith("equivalence-inconclusive") for d in r.diagnostics)
+
+
+def _continued_fraction(depth):
+    text = "x"
+    for _ in range(depth):
+        text = r"\frac{1}{1+" + text + "}"
+    return text
+
+
+# predictions that raised out of grade() before the internal-error safety net
+CRASHERS = [
+    pytest.param("(" * 200 + "x" + ")" * 200, "RecursionError", id="nested-parentheses"),
+    pytest.param(_continued_fraction(99), "RecursionError", id="continued-fraction"),
+    pytest.param("3^{100000}", "ValueError", id="int-digit-limit"),
+]
+
+
+class TestNeverCrash:
+    @pytest.mark.parametrize("pred,error", CRASHERS)
+    def test_internal_error_scores_zero(self, pred, error):
+        r = score(pred, "x", "expression")
+        assert r.score == 0.0 and not r.equivalent
+        assert r.diagnostics == [f"internal-error:{error}"]
+
+    def test_ground_truth_errors_still_raise(self):
+        with pytest.raises(GroundTruthInvalid):
+            score("x", r"\frac{", "expression")
 
 
 class TestTuple:

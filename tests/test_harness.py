@@ -23,6 +23,7 @@ from seedgrade.harness import (
     spearman,
 )
 from seedgrade.nodes import AnswerType
+from test_grader import CRASHERS
 
 GOOD_ROW = {
     "id": "q1",
@@ -154,6 +155,16 @@ class TestGradeRun:
         assert sorted(by_id) == ["q1", "q2"]
         assert 0.0 <= by_id["q1"]["score"] <= 100.0
         assert any(d.startswith("equivalence-inconclusive") for d in by_id["q1"]["diagnostics"])
+        assert by_id["q2"]["score"] == 100.0
+
+    @pytest.mark.parametrize("pred,error", CRASHERS)
+    def test_internal_error_does_not_abort_run(self, pred, error):
+        responses = [("q1", "m", pred), ("q2", "m", r"\boxed{3y}")]
+        report = grade_run(self._items(), responses)
+        by_id = {r["id"]: r for r in report.records}
+        assert sorted(by_id) == ["q1", "q2"]
+        assert by_id["q1"]["score"] == 0.0
+        assert by_id["q1"]["diagnostics"] == [f"internal-error:{error}"]
         assert by_id["q2"]["score"] == 100.0
 
     def test_ground_truth_parsed_once_per_answered_item(self, monkeypatch):

@@ -5,16 +5,27 @@ from fractions import Fraction
 import pytest
 
 from oracle import brute_distance, label_shape, tree_shapes
+from seedgrade import ted
 from seedgrade.canon import canonicalize
 from seedgrade.config import GradeConfig
 from seedgrade.nodes import Kind, MathNode, add, func, mul, num, pow_, sym
-from seedgrade.ted import _Annotated, _relabel, distance_to_score, seed_score, tree_edit_distance
+from seedgrade.ted import (
+    INF,
+    _Annotated,
+    _relabel,
+    _solve,
+    distance_to_score,
+    seed_score,
+    tree_edit_distance,
+)
 
 x, y = sym("x"), sym("y")
 CM = GradeConfig()
 # rename < kind change < insert + delete, with insert != delete so that the
 # direction of an edit shows in the cost
 SKEWED = GradeConfig(insert_cost=2, delete_cost=3, rename_cost=1, kind_change_cost=4)
+# free insertions leave the strip unbounded, so the full table must run
+FREE_INSERT = GradeConfig(insert_cost=0, delete_cost=2, rename_cost=1, kind_change_cost=2)
 # for label_shape: a FUNCTION and a SYMBOL with the same letter share a label
 # but differ in kind, and every ADD reads "+" whatever its letter
 MIXED_KINDS = (Kind.FUNCTION, Kind.SYMBOL, Kind.ADD)
@@ -226,6 +237,82 @@ class TestGoldenScripts:
 
 
 GOLDEN_SCRIPTS = "d08fdecaf2daccc1726fce73fc0d231fcc4f66eb4efc70cf95f183e801660abb"
+
+
+def _replace(node, path, new):
+    if not path:
+        return new
+    kids = list(node.children)
+    kids[path[0]] = _replace(kids[path[0]], path[1:], new)
+    return MathNode(node.kind, node.payload, tuple(kids))
+
+
+def _script(result):
+    d, ops = result
+    return d, [(str(o), o.path, o.target_path) for o in ops]
+
+
+@pytest.fixture
+def strip_passes(monkeypatch):
+    """For each forward pass, whether it ran on a strip (else the full table)."""
+    seen = []
+    real = ted._forward
+
+    def spy(A, B, cfg, lo, hi):
+        seen.append((lo, hi) != (-len(B), len(A)))
+        return real(A, B, cfg, lo, hi)
+
+    monkeypatch.setattr(ted, "_forward", spy)
+    return seen
+
+
+class TestStrip:
+    """The strip DP against the full table: same distances, same scripts."""
+
+    @staticmethod
+    def _pairs():
+        rng = random.Random(2005)
+        pairs = []
+        for p in (0.003, 0.006, 0.01, 0.02, 0.03):
+            a = _random_tree(rng, rng.randint(100, 400))
+            pairs.append((a, _mutate(rng, a, p)))
+        for _ in range(2):
+            pairs.append((_random_tree(rng, rng.randint(100, 150)),
+                          _random_tree(rng, rng.randint(100, 150))))
+        return pairs
+
+    @pytest.mark.parametrize("cfg", [CM, SKEWED], ids=["default", "skewed"])
+    def test_same_as_full_table(self, cfg, strip_passes, monkeypatch):
+        pairs = self._pairs()
+        got, on_strip = [], []
+        for a, b in pairs:
+            got.append(_script(tree_edit_distance(a, b, cfg, include_matches=True)))
+            on_strip.append(strip_passes[-1])
+        # the near misses take the strip, the unrelated pairs the full table
+        assert on_strip == [True] * 5 + [False] * 2
+        monkeypatch.setattr(ted, "STRIP_SHARE", 0.0)  # every strip counts as too wide
+        want = [_script(tree_edit_distance(a, b, cfg, include_matches=True)) for a, b in pairs]
+        assert not any(strip_passes[-len(pairs):])
+        assert got == want
+
+    def test_free_insertions_take_the_full_table(self, strip_passes):
+        for a, b in self._pairs()[:2]:
+            tree_edit_distance(a, b, FREE_INSERT)
+        assert strip_passes == [False, False]
+
+    def test_one_edit_fills_a_sliver(self):
+        rng = random.Random(7)
+        a = _random_tree(rng, 300)
+        path = []
+        while _at(a, path).children:
+            path.append(len(_at(a, path).children) // 2)
+        b = _replace(a, path, sym("q"))
+        ids: dict = {}
+        A, B = _Annotated(a, ids), _Annotated(b, ids)
+        lo, hi, td, _ = _solve(A, B, CM)
+        filled = sum(v != INF for row in td for v in row)
+        assert (lo, hi) != (-len(B), len(A)) and filled < 0.1 * len(A) * len(B)
+        assert tree_edit_distance(a, b)[0] == CM.relabel(_at(a, path), sym("q"))
 
 
 class TestScoreMapping:
