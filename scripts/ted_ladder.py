@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Tree edit distance time against tree size and number of edits.
+"""Tree edit distance and equivalence time against tree size.
 
 Usage:
     python scripts/ted_ladder.py [--seed 1] [--sizes 25,50,100,200,400] [--repeat 3]
@@ -7,9 +7,19 @@ Usage:
 For each size it builds a seeded random polynomial tree (a sum of products
 of symbols, numbers and powers, the shape of large physics answers) and a
 copy 0, 1, 3 or 10 random edits away (relabel a leaf, drop a term, add a
-term), plus an unrelated tree of the same size ("far").  Each cell prints the
-best of --repeat timings of `tree_edit_distance` in ms, the distance, and the
-DP it took: "s<w>" for a strip of w diagonals, "full" for the full table.
+term), plus an unrelated tree of the same size ("far").  Each cell of the
+first table prints the best of --repeat timings of `tree_edit_distance` in
+ms, the distance, and the DP it took: "s<w>" for a strip of w diagonals,
+"full" for the full table.
+
+The second table prints, for new polynomial trees of the same sizes, how
+many trees per second `canonicalize` handles, and the ms per pair of
+`equivalent` on an equal pair that canonicalization does not make identical
+(the tree times (s^2 - 1) / ((s + 1)(s - 1)) against the tree), so every
+trial runs: on the exact GF(p) path, and on the float path with sin(x_0)
+added to both sides.
+Each pair is timed on fresh canonical trees, so the cost of building their
+evaluation plans is included.
 """
 
 import argparse
@@ -20,8 +30,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from seedgrade.canon import canonicalize, equivalent  # noqa: E402
 from seedgrade.config import GradeConfig  # noqa: E402
-from seedgrade.nodes import MathNode, add, mul, num, pow_, sym  # noqa: E402
+from seedgrade.nodes import MathNode, add, func, mul, num, pow_, sym  # noqa: E402
 from seedgrade.ted import _Annotated, _solve, tree_edit_distance  # noqa: E402
 
 EDITS = (0, 1, 3, 10)
@@ -72,6 +83,40 @@ def _dp(a: MathNode, b: MathNode, cfg: GradeConfig) -> str:
     return "full" if (lo, hi) == (-len(B), len(A)) else f"s{hi - lo + 1}"
 
 
+def _best(fn, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t)
+    return best
+
+
+def _equiv_ms(a: MathNode, b: MathNode, cfg: GradeConfig, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        ca, cb = canonicalize(a), canonicalize(b)
+        t = time.perf_counter()
+        assert equivalent(ca, cb, cfg)
+        best = min(best, time.perf_counter() - t)
+    return best * 1e3
+
+
+def equivalence_table(rng, sizes, repeat: int, cfg: GradeConfig) -> None:
+    print(f"{'nodes':>5} {'canonicalize':>16} {'exact equiv':>14} {'float equiv':>14}")
+    for size in sizes:
+        gt = polynomial(rng, size)
+        s = sym(rng.choice(NAMES))
+        unit = mul(add(pow_(s, num(2)), num(-1)),
+                   pow_(mul(add(s, num(1)), add(s, num(-1))), num(-1)))
+        pred = mul(gt, unit)
+        wave = func("sin", sym(NAMES[0]))
+        per_s = 1 / _best(lambda: canonicalize(gt), repeat)
+        exact = _equiv_ms(pred, gt, cfg, repeat)
+        flt = _equiv_ms(add(pred, wave), add(gt, wave), cfg, repeat)
+        print(f"{gt.size():>5} {per_s:>10.0f} tree/s {exact:>11.2f} ms {flt:>11.2f} ms")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=1)
@@ -83,7 +128,8 @@ def main() -> int:
     rng = random.Random(args.seed)
     columns = [f"{k} edits" for k in EDITS] + ["far"]
     print(f"{'nodes':>5} " + " ".join(f"{c:>22}" for c in columns))
-    for size in (int(s) for s in args.sizes.split(",")):
+    sizes = [int(s) for s in args.sizes.split(",")]
+    for size in sizes:
         gt = polynomial(rng, size)
         preds = []
         for k in EDITS:
@@ -101,6 +147,8 @@ def main() -> int:
                 best = min(best, time.perf_counter() - t)
             cells.append(f"{best * 1e3:8.1f} ms d={d:<3} {_dp(pred, gt, cfg):>4}")
         print(f"{gt.size():>5} " + " ".join(f"{c:>22}" for c in cells))
+    print()
+    equivalence_table(rng, sizes, args.repeat, cfg)
     return 0
 
 

@@ -3,8 +3,14 @@
 Canonicalization is purely syntactic: flatten associative operators, fold
 exact rational arithmetic, collect like terms and like bases, and sort
 children under a fixed total order.  Deeper identities (different fraction
-or radical arrangements) are caught by randomized evaluation at exact
-rational or high-precision points, so no symbolic expansion is ever needed.
+or radical arrangements) are caught by randomized evaluation, so no symbolic
+expansion is ever needed.  A rational tree (numbers, symbols, sums, products,
+integer powers) is evaluated exactly in GF(P), P = 2^61 - 1, at points drawn
+uniformly from the field: a false "equivalent" then has chance at most
+deg/P per trial, where deg bounds the degree of the difference.  Any other
+evaluable tree is evaluated in 30-digit mpmath at random real points.  Each
+canonical tree builds its evaluation plan (a postorder stack program with
+its constants converted once) on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -23,10 +29,8 @@ from .nodes import (
     KIND_RANK,
     Kind,
     MathNode,
-    free_symbols,
     num,
     relation,
-    walk,
 )
 
 ZERO = num(0)
@@ -44,6 +48,15 @@ class CanonicalTree:
     root: MathNode
     size: int
     digest: str
+    _plan: "Plan | None" = field(default=None, init=False, repr=False, compare=False)
+
+    def plan(self) -> "Plan":
+        """The evaluation plan, built on first use and kept with the tree."""
+        p = self._plan
+        if p is None:
+            p = Plan(self.root)
+            object.__setattr__(self, "_plan", p)
+        return p
 
 
 # --- total order ------------------------------------------------------------
@@ -273,8 +286,15 @@ def canonicalize(node: MathNode) -> CanonicalTree:
 
 
 def as_canonical(tree) -> CanonicalTree:
-    """The tree itself if already canonical, else its canonical form."""
-    return tree if isinstance(tree, CanonicalTree) else canonicalize(tree)
+    """The tree itself if already canonical, else its canonical form, which
+    is computed once per node and kept on it."""
+    if isinstance(tree, CanonicalTree):
+        return tree
+    c = tree._canon
+    if not isinstance(c, CanonicalTree):
+        c = canonicalize(tree)
+        object.__setattr__(tree, "_canon", c)
+    return c
 
 
 # --- relations ---------------------------------------------------------------
@@ -335,6 +355,17 @@ def standardize_relation(node: MathNode) -> MathNode:
     return relation(op, diff, ZERO)
 
 
+def canonical_relation(node: MathNode) -> tuple:
+    """(operator, canonical f) of the relation standardized as `f # 0`,
+    computed once per node and kept on it."""
+    c = node._canon
+    if not isinstance(c, tuple):
+        s = standardize_relation(node)
+        c = (s.payload, canonicalize(s.children[0]))
+        object.__setattr__(node, "_canon", c)
+    return c
+
+
 def equation_equivalent(a: MathNode, b: MathNode, cfg: GradeConfig = GradeConfig()) -> bool:
     """Same solution set: equal up to positive rational scale (any nonzero
     rational scale for equalities, which sign standardization absorbs)."""
@@ -347,7 +378,15 @@ def equation_equivalent(a: MathNode, b: MathNode, cfg: GradeConfig = GradeConfig
 
 # --- evaluation --------------------------------------------------------------
 
-_RATIONAL_KINDS = (Kind.NUMBER, Kind.SYMBOL, Kind.ADD, Kind.MUL)
+# The exact path evaluates in the field GF(P).  Two rational functions whose
+# difference has a numerator of total degree d, with integer coefficients not
+# all multiples of P, agree at a uniform random point with chance at most d/P
+# (Schwartz 1980, Zippel 1979).
+P = (1 << 61) - 1
+# A tree whose degree bound reaches this takes the float path: the numerator
+# of a difference of two exact trees then has degree below P - 1, so Fermat's
+# x^(P-1) = 1 cannot make two different functions agree at every point.
+_MAX_DEGREE = (P - 1) // 2
 
 _MP_FUNCS = {
     "sin": mpmath.sin, "cos": mpmath.cos, "tan": mpmath.tan,
@@ -357,93 +396,188 @@ _MP_FUNCS = {
     "factorial": lambda x: mpmath.gamma(x + 1),
 }
 
-
-def is_rational_tree(node: MathNode) -> bool:
-    for n in walk(node):
-        k = n.kind
-        if k in _RATIONAL_KINDS:
-            continue
-        if (
-            k is Kind.POW
-            and n.children[1].kind is Kind.NUMBER
-            and n.children[1].payload.denominator == 1
-        ):
-            continue
-        return False
-    return True
+# opcodes of a plan's postorder stack program, with their argument:
+#   _NUM a number, _SYM a symbol name, _CONST a constant name, _ADD and _MUL
+#   the operand count, _POWI an integer exponent (the base is on the stack),
+#   _POW none (base and exponent are), _FN (function, operand count)
+_NUM, _SYM, _CONST, _ADD, _MUL, _POWI, _POW, _FN = range(8)
 
 
-def is_evaluable(node: MathNode) -> bool:
-    for n in walk(node):
-        k = n.kind
-        if k in (Kind.NUMBER, Kind.SYMBOL, Kind.CONSTANT, Kind.ADD, Kind.MUL, Kind.POW):
-            continue
-        if k is Kind.FUNCTION and n.payload in _MP_FUNCS:
-            continue
-        return False
-    return True
+def _int_exponent(node: MathNode):
+    """The exponent of a POW node as a Fraction when it is an integer, else None."""
+    e = node.children[1]
+    if e.kind is Kind.NUMBER and e.payload.denominator == 1:
+        return e.payload
+    return None
 
 
-def evaluate_exact(node: MathNode, env: dict) -> Fraction:
-    """Exact rational evaluation; raises ZeroDivisionError at poles."""
-    k = node.kind
-    if k is Kind.NUMBER:
-        return node.payload
-    if k is Kind.SYMBOL:
-        return env[node.payload]
-    if k is Kind.ADD:
-        return sum(evaluate_exact(c, env) for c in node.children)
-    if k is Kind.MUL:
-        r = _F1
-        for c in node.children:
-            r *= evaluate_exact(c, env)
-        return r
-    if k is Kind.POW:
-        base = evaluate_exact(node.children[0], env)
-        exp = node.children[1].payload
-        if base == 0 and exp < 0:
-            raise ZeroDivisionError("0 ** negative")
-        return base ** int(exp)
-    raise ValueError(f"not exactly evaluable: {node.kind}")
+class Plan:
+    """What the equivalence check needs of one canonical tree, from one walk.
+
+    `code` is the tree as a postorder stack program; `symbols` its free
+    symbols; `evaluable` whether every node can be evaluated; `degree` a bound
+    on the total degree of the tree as a ratio of polynomials when GF(P) can
+    evaluate it (numbers, symbols, sums, products and integer powers, no
+    denominator divisible by P, degree below _MAX_DEGREE), else None.
+    The numbers of `code` are converted once per tree for each path.
+    """
+
+    __slots__ = ("code", "symbols", "evaluable", "degree", "_exact", "_float")
+
+    def __init__(self, root: MathNode):
+        self.code = []
+        self.symbols = set()
+        self.evaluable = True
+        self.degree = None
+        self._exact = self._float = None
+        order = []
+        stack = [root]
+        while stack:
+            n = stack.pop()
+            order.append(n)
+            if n.kind is Kind.POW and _int_exponent(n) is not None:
+                stack.append(n.children[0])
+            else:
+                stack.extend(n.children)
+        emit = self.code.append
+        degrees = []  # degree bound of each value the program leaves on its stack
+        exact = True
+        for n in reversed(order):
+            k = n.kind
+            if k is Kind.NUMBER:
+                emit((_NUM, n.payload))
+                degrees.append(0)
+                exact = exact and n.payload.denominator % P != 0
+            elif k is Kind.SYMBOL:
+                emit((_SYM, n.payload))
+                degrees.append(1)
+                self.symbols.add(n.payload)
+            elif k is Kind.ADD or k is Kind.MUL:
+                arity = len(n.children)
+                emit((_ADD if k is Kind.ADD else _MUL, arity))
+                # a sum or product of ratios n_i/d_i is one ratio of degree <= sum
+                d = sum(degrees[-arity:])
+                del degrees[-arity:]
+                degrees.append(d)
+            elif k is Kind.POW:
+                e = _int_exponent(n)
+                if e is None:
+                    emit((_POW, None))
+                    del degrees[-1]
+                    exact = False
+                else:
+                    emit((_POWI, e))
+                    degrees[-1] *= abs(e.numerator)
+            elif k is Kind.CONSTANT:
+                emit((_CONST, n.payload))
+                degrees.append(0)
+                exact = False
+            elif k is Kind.FUNCTION and n.payload in _MP_FUNCS:
+                arity = len(n.children)
+                emit((_FN, (_MP_FUNCS[n.payload], arity)))
+                del degrees[-arity:]
+                degrees.append(0)
+                exact = False
+            else:
+                self.evaluable = False
+                self.code.clear()
+                return
+        if exact and degrees[0] < _MAX_DEGREE:
+            self.degree = degrees[0]
+
+    def exact_code(self) -> list:
+        """`code` with each number n/d as n * d^-1 mod P (needs `degree`)."""
+        if self._exact is None:
+            self._exact = [
+                (op, arg.numerator * pow(arg.denominator, -1, P) % P) if op == _NUM
+                else (op, arg.numerator) if op == _POWI
+                else (op, arg)
+                for op, arg in self.code
+            ]
+        return self._exact
+
+    def float_code(self) -> list:
+        """`code` with numbers, exponents and constants as mpmath values, built
+        at the caller's working precision."""
+        if self._float is None:
+            self._float = [
+                (_NUM, _mp_constant(arg)) if op == _CONST
+                else (op, mpmath.mpf(arg.numerator) / arg.denominator) if op in (_NUM, _POWI)
+                else (op, arg)
+                for op, arg in self.code
+            ]
+        return self._float
 
 
-def evaluate_float(node: MathNode, env: dict):
-    """High-precision evaluation via mpmath (dps set by the caller)."""
-    k = node.kind
-    if k is Kind.NUMBER:
-        return mpmath.mpf(node.payload.numerator) / node.payload.denominator
-    if k is Kind.SYMBOL:
-        return env[node.payload]
-    if k is Kind.CONSTANT:
-        if node.payload == "pi":
-            return +mpmath.pi
-        if node.payload == "e":
-            return +mpmath.e
-        return mpmath.mpc(0, 1)
-    if k is Kind.ADD:
-        r = mpmath.mpf(0)
-        for c in node.children:
-            r = r + evaluate_float(c, env)
-        return r
-    if k is Kind.MUL:
-        r = mpmath.mpf(1)
-        for c in node.children:
-            r = r * evaluate_float(c, env)
-        return r
-    if k is Kind.POW:
-        base = evaluate_float(node.children[0], env)
-        exp = evaluate_float(node.children[1], env)
-        return base**exp
-    if k is Kind.FUNCTION:
-        fn = _MP_FUNCS.get(node.payload)
-        if fn is None:
-            raise ValueError(f"no evaluator for function {node.payload!r}")
-        return fn(evaluate_float(node.children[0], env))
-    raise ValueError(f"not evaluable: {node.kind}")
+def _mp_constant(name: str):
+    if name == "pi":
+        return +mpmath.pi
+    if name == "e":
+        return +mpmath.e
+    return mpmath.mpc(0, 1)
 
 
-_SAMPLE_PRIMES = (2, 3, 5, 7, 11, 13)
-_SAMPLE_DENOMS = (1, 2, 3)
+def evaluate_exact(code: list, env: dict) -> int:
+    """A plan's exact program at one point of GF(P) (symbol -> int in [0, P)).
+
+    Raises ZeroDivisionError at a pole: zero to a negative power.
+    """
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg in code:
+        if op == _SYM:
+            push(env[arg])
+        elif op == _NUM:
+            push(arg)
+        elif op == _MUL:
+            r = pop()
+            for _ in range(arg - 1):
+                r = r * pop() % P
+            push(r)
+        elif op == _ADD:
+            r = sum(stack[-arg:]) % P
+            del stack[-arg:]
+            push(r)
+        else:  # _POWI
+            b = pop()
+            if arg < 0 and b == 0:
+                raise ZeroDivisionError("0 ** negative")
+            push(pow(b, arg, P))
+    return stack[0]
+
+
+def evaluate_float(code: list, env: dict):
+    """A plan's float program at one point, in mpmath at the caller's working
+    precision; operands combine left to right."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg in code:
+        if op == _SYM:
+            push(env[arg])
+        elif op == _NUM:
+            push(arg)
+        elif op == _POWI:
+            push(pop() ** arg)
+        elif op == _ADD or op == _MUL:
+            vals = stack[-arg:]
+            del stack[-arg:]
+            r = vals[0]
+            if op == _ADD:
+                for v in vals[1:]:
+                    r = r + v
+            else:
+                for v in vals[1:]:
+                    r = r * v
+            push(r)
+        elif op == _POW:
+            e = pop()
+            push(pop() ** e)
+        else:  # _FN
+            fn, arity = arg
+            vals = stack[-arity:]
+            del stack[-arity:]
+            push(fn(vals[0]))
+    return stack[0]
 
 
 def _pair_seed(cfg_seed: int, da: str, db: str) -> int:
@@ -456,52 +590,53 @@ def equivalent(a, b, cfg: GradeConfig = GradeConfig()) -> bool:
     """Structural canonical equality, else randomized-evaluation agreement.
 
     a and b are MathNodes or CanonicalTrees; only MathNodes are canonicalized.
-    Raises Inconclusive when every sample hits a singularity; callers fall
-    back to tree distance.
+    Two rational trees are compared at `cfg.trials` random points of GF(P),
+    anything else evaluable at random real points in 30-digit mpmath.
+    Raises Inconclusive when every sample of a trial hits a singularity;
+    callers fall back to tree distance.
     """
     ca = as_canonical(a)
     cb = as_canonical(b)
     if ca.root == cb.root:
         return True
-    ra, rb = ca.root, cb.root
-    if not (is_evaluable(ra) and is_evaluable(rb)):
+    pa, pb = ca.plan(), cb.plan()
+    if not (pa.evaluable and pb.evaluable):
         return False
 
-    symbols = sorted(free_symbols(ra) | free_symbols(rb))
+    symbols = sorted(pa.symbols | pb.symbols)
     rng = random.Random(_pair_seed(cfg.seed, ca.digest, cb.digest))
-    exact = is_rational_tree(ra) and is_rational_tree(rb)
+    exact = pa.degree is not None and pb.degree is not None
+    if exact:
+        ea, eb = pa.exact_code(), pb.exact_code()
+    else:
+        with mpmath.workdps(30):
+            fa, fb = pa.float_code(), pb.float_code()
 
     for _ in range(cfg.trials):
-        done = False
         for _retry in range(MAX_RETRIES):
             if exact:
-                env = {
-                    s: Fraction(rng.choice(_SAMPLE_PRIMES), rng.choice(_SAMPLE_DENOMS))
-                    for s in symbols
-                }
+                env = {s: rng.randrange(P) for s in symbols}
                 try:
-                    va = evaluate_exact(ra, env)
-                    vb = evaluate_exact(rb, env)
+                    va = evaluate_exact(ea, env)
+                    vb = evaluate_exact(eb, env)
                 except ZeroDivisionError:
                     continue
                 if va != vb:
                     return False
-                done = True
                 break
             env = {
                 s: mpmath.mpf(rng.uniform(0.3, 2.7)) for s in symbols
             }
             try:
                 with mpmath.workdps(30):
-                    va = evaluate_float(ra, env)
-                    vb = evaluate_float(rb, env)
+                    va = evaluate_float(fa, env)
+                    vb = evaluate_float(fb, env)
             except (ZeroDivisionError, ValueError, OverflowError):
                 continue
             diff = abs(va - vb)
             if diff > cfg.eval_rtol * (1 + abs(va) + abs(vb)):
                 return False
-            done = True
             break
-        if not done:
+        else:
             raise Inconclusive("all evaluation samples hit singularities")
     return True

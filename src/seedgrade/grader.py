@@ -4,7 +4,7 @@ results; only ground-truth failures raise."""
 
 from __future__ import annotations
 
-from .canon import canonicalize, standardize_relation
+from .canon import canonical_relation
 from .config import GradeConfig
 from .errors import DimensionMismatch, GradingError, GroundTruthInvalid
 from .nodes import AnswerType, Kind, MathNode, TypedAnswer
@@ -20,6 +20,8 @@ def parse_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig = Gra
         return parse_answer(clean, declared)
     except GradingError as exc:
         raise GroundTruthInvalid(f"ground truth {gt_raw!r} invalid: {exc}") from exc
+    except RecursionError as exc:
+        raise GroundTruthInvalid(f"ground truth {gt_raw!r} invalid: nesting too deep") from exc
 
 
 def _parse_prediction(pred_raw: str, declared: AnswerType, cfg: GradeConfig):
@@ -53,15 +55,14 @@ def grade_equation(pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig(
     relation score full credit, anything else is graded on the sides."""
     if pred.kind is not Kind.RELATION:
         return GradeResult.zero(["TypeMismatch: prediction is not an equation"])
-    sp = standardize_relation(pred)
-    sg = standardize_relation(gt)
-    cg = canonicalize(sg.children[0])
-    result = seed_score(canonicalize(sp.children[0]), cg, cfg)
-    if sp.payload == sg.payload and result.equivalent:
+    op_p, cp = canonical_relation(pred)
+    op_g, cg = canonical_relation(gt)
+    result = seed_score(cp, cg, cfg)
+    if op_p == op_g and result.equivalent:
         return GradeResult.full(cfg, ["equation-equivalent"])
     result.equivalent = False
     result.diagnostics.append("graded-on-standardized-sides")
-    if sp.payload != sg.payload:
+    if op_p != op_g:
         # relation direction counts as one more relabel on the one-sided form
         d = (0 if result.distance == 0 else float(result.distance)) + cfg.rename_cost
         result.distance = d

@@ -169,9 +169,10 @@ def load_responses(path) -> list:
 def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     """Grade every (item, model) pair. Items a model never answered score 0;
     responses without a matching item are recorded with a diagnostic. Each
-    answered item's ground truth is parsed once, and each distinct response
-    text to it is graded once: grading is deterministic, so models that sent
-    the same text share its result."""
+    answered item's ground truth is parsed once, and its trees are
+    canonicalized (an equation standardized) once and kept on them for every
+    model; each distinct response text to it is graded once: grading is
+    deterministic, so models that sent the same text share its result."""
     models = sorted({model for _, model, _ in responses})
     response_map = {(i, m): r for i, m, r in responses}
 

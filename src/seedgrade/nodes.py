@@ -57,7 +57,7 @@ class MathNode:
       others    -> None
     """
 
-    __slots__ = ("kind", "payload", "children", "_hash", "_key")
+    __slots__ = ("kind", "payload", "children", "_hash", "_key", "_canon")
 
     def __init__(self, kind: Kind, payload=None, children: tuple = ()):
         object.__setattr__(self, "kind", kind)
@@ -65,6 +65,8 @@ class MathNode:
         object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_key", None)  # canon.sort_key, filled on first use
+        # canon.as_canonical (or canon.canonical_relation), filled on first use
+        object.__setattr__(self, "_canon", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MathNode is immutable")
@@ -195,12 +197,3 @@ class TypedAnswer:
     def __repr__(self):
         return f"TypedAnswer({self.answer_type.value}, {self.parts!r})"
 
-
-def walk(node: MathNode):
-    yield node
-    for child in node.children:
-        yield from walk(child)
-
-
-def free_symbols(node: MathNode) -> set:
-    return {n.payload for n in walk(node) if n.kind is Kind.SYMBOL}

@@ -1,14 +1,43 @@
-"""Independent brute-force oracle for ordered tree edit distance.
+"""Independent oracles the tests check seedgrade against.
 
-Enumerates every order- and ancestor-preserving node mapping between two
-trees and returns the minimal total cost. Exponential, so only usable for
-small trees; exists purely to cross-check the dynamic program.
+`brute_distance` enumerates every order- and ancestor-preserving node mapping
+between two trees and returns the minimal total cost. Exponential, so only
+usable for small trees; exists purely to cross-check the dynamic program.
+
+`evaluate_exact` evaluates a rational tree exactly over the rationals, to
+check that canonicalization preserves value.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from seedgrade.nodes import Kind, MathNode
 from seedgrade.config import GradeConfig
+
+_F1 = Fraction(1)
+
+
+def evaluate_exact(node: MathNode, env: dict) -> Fraction:
+    """Exact rational evaluation; raises ZeroDivisionError at poles."""
+    k = node.kind
+    if k is Kind.NUMBER:
+        return node.payload
+    if k is Kind.SYMBOL:
+        return env[node.payload]
+    if k is Kind.ADD:
+        return sum(evaluate_exact(c, env) for c in node.children)
+    if k is Kind.MUL:
+        r = _F1
+        for c in node.children:
+            r *= evaluate_exact(c, env)
+        return r
+    if k is Kind.POW:
+        base = evaluate_exact(node.children[0], env)
+        exp = node.children[1].payload
+        if base == 0 and exp < 0:
+            raise ZeroDivisionError("0 ** negative")
+        return base ** int(exp)
+    raise ValueError(f"not exactly evaluable: {node.kind}")
 
 
 def _postorder(root):

@@ -12,8 +12,8 @@ from importlib import resources
 
 import pytest
 
-from oracle import brute_distance, label_shape, tree_shapes
-from seedgrade.canon import canonicalize, equation_equivalent, equivalent, evaluate_exact
+from oracle import brute_distance, evaluate_exact, label_shape, tree_shapes
+from seedgrade.canon import canonicalize, equation_equivalent, equivalent
 from seedgrade.config import GradeConfig
 from seedgrade.grader import grade
 from seedgrade.harness import grade_run, load_dataset, load_responses, spearman

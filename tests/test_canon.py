@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from oracle import evaluate_exact
 from seedgrade.canon import (
     canonicalize,
     equation_equivalent,
     equivalent,
-    evaluate_exact,
     standardize_relation,
 )
 from seedgrade.config import GradeConfig
-from seedgrade.errors import NotARelation
+from seedgrade.errors import Inconclusive, NotARelation
 from seedgrade.nodes import add, mul, num, pow_, relation, sym
 from seedgrade.parser import parse_expression
 from seedgrade.preprocess import canonicalize_latex
@@ -118,6 +118,11 @@ class TestEquivalent:
         c = parse(r"\frac{d}{dx} x^3")
         assert equivalent(a, b, self.CFG)
         assert not equivalent(a, c, self.CFG)
+
+    def test_exact_pole_everywhere_is_inconclusive(self):
+        # the denominator is 0 at every point but not canonically 0
+        with pytest.raises(Inconclusive):
+            equivalent(parse(r"\frac{1}{(x+1)^2 - x^2 - 2x - 1}"), parse("1"), self.CFG)
 
     def test_deterministic(self):
         a, b = parse(r"e^{x} e^{y}"), parse(r"e^{x+y}")

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -103,6 +104,46 @@ class TestNeverCrash:
     def test_ground_truth_errors_still_raise(self):
         with pytest.raises(GroundTruthInvalid):
             score("x", r"\frac{", "expression")
+
+    def test_deep_ground_truth_is_invalid(self):
+        with pytest.raises(GroundTruthInvalid, match="nesting too deep"):
+            score("x", "(" * 200 + "x" + ")" * 200, "expression")
+
+
+# the GF(P) modulus of the exact equivalence path
+P = 2**61 - 1
+
+
+class TestEquivalenceSoundness:
+    def test_product_over_old_sample_grid(self):
+        # vanishes at every x = p/d with p in {2,3,5,7,11,13} and d in {1,2,3}
+        product = "".join(f"({d}x-{p})" for d in (1, 2, 3) for p in (2, 3, 5, 7, 11, 13))
+        assert score(rf"\boxed{{x + {product}}}", "x", "expression").score < 100
+
+    def test_huge_exponent_is_fast(self):
+        t = time.perf_counter()
+        r = score(r"\boxed{x^{3000000} \cdot x^{3000000}}", "x", "expression")
+        assert time.perf_counter() - t < 0.05
+        assert r.score < 100
+
+    def test_exponent_past_fermat_alias(self):
+        # over GF(P), x^P = x, so both sides would agree at every point
+        r = score(rf"\boxed{{(x+1)^{{{P}}}}}", rf"x^{{{P}}} + 1", "expression")
+        assert r.score < 100
+
+    @pytest.mark.parametrize("den", [P, 2 * P])
+    def test_denominator_multiple_of_modulus(self, den):
+        r = score(rf"\boxed{{x + \frac{{1}}{{{den}}}}}", rf"2x + \frac{{1}}{{{den}}}", "expression")
+        assert r.score < 100 and not r.equivalent
+        assert not any(d.startswith("internal-error") for d in r.diagnostics)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the float path accepts a relative difference below eval_rtol; it waits "
+        "for a precision escalation on close calls",
+    )
+    def test_float_path_small_offset(self):
+        assert score(r"\boxed{\sin(x) + 10^{-11}}", r"\sin(x)", "expression").score < 100
 
 
 class TestTuple:

@@ -64,6 +64,12 @@ class TestLoadDataset:
             load_dataset(write_jsonl(tmp_path / "d.jsonl", rows))
         assert exc.value.line == 2
 
+    def test_deep_ground_truth_reports_line(self, tmp_path):
+        row = dict(GOOD_ROW, ground_truth="(" * 200 + "x" + ")" * 200)
+        with pytest.raises(GroundTruthInvalid, match="nesting too deep") as exc:
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
+        assert exc.value.line == 1
+
     def test_every_bad_row_reported(self, tmp_path, capsys):
         rows = [
             dict(GOOD_ROW, topic="Nope"),

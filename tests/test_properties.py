@@ -5,7 +5,8 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from seedgrade.canon import canonicalize, evaluate_exact
+from oracle import evaluate_exact
+from seedgrade.canon import canonicalize
 from seedgrade.nodes import Kind, MathNode, num, pow_, sym
 from seedgrade.parser import parse_expression, serialize
 from seedgrade.preprocess import canonicalize_latex
