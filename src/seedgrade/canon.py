@@ -186,9 +186,8 @@ def canon_pow(base: MathNode, exp: MathNode) -> MathNode:
         return base
     if base == ONE:
         return ONE
-    if base == ZERO:
-        return ZERO
     if base.kind is Kind.NUMBER and exp.kind is Kind.NUMBER:
+        # 0^e folds to 0 only for e > 0: zero to a negative power is undefined
         folded = _rational_pow(base.payload, exp.payload)
         if folded is not None:
             return num(folded)

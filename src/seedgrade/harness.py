@@ -7,17 +7,22 @@ import hashlib
 import json
 import os
 import random
+import signal
 import sys
+import threading
 import time
+import traceback
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import errors
 from .config import GradeConfig
 from .errors import (
     CacheCorrupt,
     DegenerateInput,
+    GradingError,
     GroundTruthInvalid,
     HttpError,
     SchemaError,
@@ -166,40 +171,194 @@ def load_responses(path) -> list:
     return [(i, m, r) for (i, m), r in out.items()]
 
 
+FORK_AFTER_S = 0.05  # serial grading time after which a run splits its remaining items
+
+
 def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     """Grade every (item, model) pair. Items a model never answered score 0;
     responses without a matching item are recorded with a diagnostic. Each
     answered item's ground truth is parsed once, and its trees are
     canonicalized (an equation standardized) once and kept on them for every
     model; each distinct response text to it is graded once: grading is
-    deterministic, so models that sent the same text share its result."""
+    deterministic, so models that sent the same text share its result.
+
+    A run still grading after FORK_AFTER_S splits its remaining items across
+    forked worker processes, one per usable CPU (see `_grade_parallel`); the
+    records are the same as the serial loop's."""
+    start = time.perf_counter()
     models = sorted({model for _, model, _ in responses})
     response_map = {(i, m): r for i, m, r in responses}
-
-    def record(item_id, model, topic, answer_type, result):
-        return {"id": item_id, "model": model, "topic": topic,
-                "answer_type": answer_type, **result.to_dict()}
-
+    work = [(item, [(model, response_map.pop((item.id, model), None)) for model in models])
+            for item in items]
     records = []
-    for item in items:
-        gt = None
-        graded: dict = {}  # response text -> GradeResult
-        for model in models:
-            text = response_map.pop((item.id, model), None)
-            if text is None:
-                result = GradeResult.zero(["missing response"])
-            elif text in graded:
-                result = graded[text]
-            else:
-                if gt is None:
-                    gt = parse_ground_truth(item.ground_truth, item.answer_type, cfg)
-                result = graded[text] = grade_prediction(text, gt, cfg)
-            records.append(record(item.id, model, item.topic, item.answer_type.value, result))
+    n = 0  # items graded serially, until the run has taken FORK_AFTER_S
+    while n < len(work) and time.perf_counter() - start <= FORK_AFTER_S:
+        records += _grade_item(*work[n], cfg)
+        n += 1
+    workers = _worker_count(len(work) - n)
+    if workers > 1:
+        records += _grade_parallel(work[n:], workers, cfg)
+    else:
+        for item, answers in work[n:]:
+            records += _grade_item(item, answers, cfg)
     for (item_id, model), _ in sorted(response_map.items()):
         result = GradeResult.zero(["response id not in dataset"])
-        records.append(record(item_id, model, "Others", "expression", result))
+        records.append(_record(item_id, model, "Others", "expression", result))
     records.sort(key=lambda r: (r["model"], r["id"]))
     return RunReport(records=records, config=cfg.to_dict())
+
+
+def _record(item_id, model, topic, answer_type, result) -> dict:
+    return {"id": item_id, "model": model, "topic": topic,
+            "answer_type": answer_type, **result.to_dict()}
+
+
+def _grade_item(item, answers, cfg) -> list:
+    """The records of one item; answers is [(model, response text or None)]."""
+    gt = None
+    graded: dict = {}  # response text -> GradeResult
+    records = []
+    for model, text in answers:
+        if text is None:
+            result = GradeResult.zero(["missing response"])
+        elif text in graded:
+            result = graded[text]
+        else:
+            if gt is None:
+                gt = parse_ground_truth(item.ground_truth, item.answer_type, cfg)
+            result = graded[text] = grade_prediction(text, gt, cfg)
+        records.append(_record(item.id, model, item.topic, item.answer_type.value, result))
+    return records
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(remaining: int) -> int:
+    """Processes to grade `remaining` items with: this one alone unless the
+    host has a spare CPU and this process can fork safely (forking a process
+    with other live threads can deadlock the child on a lock they held)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), remaining)
+
+
+def _split(work, n: int) -> list:
+    """Indices into `work` in n shares of about equal cost, each in item
+    order; an item costs the length of its distinct response texts and of
+    its ground truth, and nothing when no model answered it."""
+    costs = []
+    for item, answers in work:
+        texts = {text for _, text in answers if text is not None}
+        costs.append(sum(map(len, texts)) + len(item.ground_truth) if texts else 0)
+    shares: list = [[] for _ in range(n)]
+    load = [0] * n
+    for i in sorted(range(len(work)), key=costs.__getitem__, reverse=True):
+        k = load.index(min(load))
+        shares[k].append(i)
+        load[k] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _grade_share(work, share, cfg):
+    """Grade the items `share` indexes, in order, up to the first error:
+    ([(index, records)], None or (index, exception))."""
+    done = []
+    for i in share:
+        try:
+            done.append((i, _grade_item(*work[i], cfg)))
+        except Exception as exc:
+            return done, (i, exc)
+    return done, None
+
+
+def _error_to_json(exc) -> dict:
+    if isinstance(exc, GradingError) and getattr(errors, type(exc).__name__, None) is type(exc):
+        return {"type": type(exc).__name__, "args": exc.args, "attrs": vars(exc)}
+    return {"traceback": "".join(traceback.format_exception(exc))}
+
+
+def _error_from_json(data) -> Exception:
+    """The exception a worker sent: a seedgrade error as the same type with
+    the same message and attributes, anything else as a RuntimeError that
+    carries the worker's traceback."""
+    if "type" not in data:
+        return RuntimeError(f"grading worker failed:\n{data['traceback']}")
+    cls = getattr(errors, data["type"])
+    exc = cls.__new__(cls)
+    exc.args = tuple(data["args"])
+    vars(exc).update(data["attrs"])
+    return exc
+
+
+def _grade_parallel(work, workers: int, cfg) -> list:
+    """Grade `work` in `workers` processes: this one and workers - 1 forked
+    children, each taking a share of whole items (`_split`), so that each
+    distinct response text is still graded once per item. A child sends its
+    records back through a pipe as JSON and ends with `os._exit`, never
+    returning into the caller. Returns the records in item order, as the
+    serial loop gives them; raises the error of the first item that failed,
+    as the serial loop would. On any error, and on KeyboardInterrupt, every
+    child is killed and reaped before this returns or raises."""
+    mine, *shares = _split(work, workers)
+    children: dict = {}  # pid -> read end of its pipe
+    try:
+        for share in shares:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: grade the share here
+                os.close(rfd)
+                os.close(wfd)
+                mine = sorted(mine + share)
+                continue
+            if pid == 0:  # child
+                code = 1
+                try:
+                    os.close(rfd)
+                    done, error = _grade_share(work, share, cfg)
+                    if error is not None:
+                        error = (error[0], _error_to_json(error[1]))
+                    with os.fdopen(wfd, "wb") as out:
+                        out.write(json.dumps([done, error]).encode())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wfd)
+            children[pid] = os.fdopen(rfd, "rb")
+        parts = [_grade_share(work, mine, cfg)]
+        for pid in list(children):
+            with children[pid] as reader:
+                payload = reader.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            try:
+                done, error = json.loads(payload)
+            except ValueError:
+                raise RuntimeError(f"grading worker {pid} ended without a result "
+                                   f"(wait status {status})") from None
+            if error is not None:
+                error = (error[0], _error_from_json(error[1]))
+            parts.append((done, error))
+    finally:
+        for pid, reader in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            reader.close()
+    by_index: list = [None] * len(work)
+    failures = []
+    for done, error in parts:
+        for i, records in done:
+            by_index[i] = records
+        if error is not None:
+            failures.append(error)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [rec for records in by_index for rec in records]
 
 
 def aggregate(report: RunReport, by: str) -> list:

@@ -130,7 +130,7 @@ class MathNode:
 # -- constructors -----------------------------------------------------------
 
 def num(value) -> MathNode:
-    return MathNode(Kind.NUMBER, Fraction(value))
+    return MathNode(Kind.NUMBER, value if type(value) is Fraction else Fraction(value))
 
 
 def sym(name: str) -> MathNode:

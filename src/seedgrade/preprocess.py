@@ -390,14 +390,15 @@ def canonicalize_latex(
     notes: list = []
     text = raw
 
-    for ch, repl in UNICODE_MAP.items():
-        if ch in text:
-            text = text.replace(ch, repl)
-            notes.append("unicode")
-    # remaining non-ascii characters carry no math meaning we support
-    if any(ord(c) > 127 for c in text):
-        text = "".join(c if ord(c) < 128 else " " for c in text)
-        notes.append("nonascii-dropped")
+    if not text.isascii():  # every UNICODE_MAP key is non-ASCII
+        for ch, repl in UNICODE_MAP.items():
+            if ch in text:
+                text = text.replace(ch, repl)
+                notes.append("unicode")
+        # remaining non-ascii characters carry no math meaning we support
+        if not text.isascii():
+            text = "".join(c if ord(c) < 128 else " " for c in text)
+            notes.append("nonascii-dropped")
 
     if "$" in text:
         text = text.replace("$", " ")

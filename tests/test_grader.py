@@ -137,6 +137,17 @@ class TestEquivalenceSoundness:
         assert r.score < 100 and not r.equivalent
         assert not any(d.startswith("internal-error") for d in r.diagnostics)
 
+    @pytest.mark.parametrize("pred,gt", [
+        (r"\frac{1}{x-x}", "0"),
+        (r"\frac{1}{x-x}+y", "y"),
+        (r"0^{-1}", "0"),
+    ])
+    def test_zero_to_negative_power_is_undefined(self, pred, gt):
+        assert score(rf"\boxed{{{pred}}}", gt, "expression").score < 100
+
+    def test_zero_to_positive_power_is_zero(self):
+        assert score(r"\boxed{0^{2}}", "0", "expression").score == 100
+
     @pytest.mark.xfail(
         strict=True,
         reason="the float path accepts a relative difference below eval_rtol; it waits "

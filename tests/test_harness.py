@@ -1,4 +1,10 @@
+import contextlib
 import json
+import os
+import signal
+import threading
+import time
+from importlib import resources
 
 import pytest
 
@@ -199,6 +205,174 @@ class TestGradeRun:
         again = RunReport.read(tmp_path / "run")
         assert again.records == report.records
         assert render_report(again) == render_report(report)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    def expired(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # not a child of this process any more
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Make grade_run split its items at once across 3 processes; yields the
+    pids of the children it forks."""
+    monkeypatch.setattr(harness, "FORK_AFTER_S", -1.0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    assert_reaped(pids)
+
+
+def serial_run(monkeypatch, items, responses):
+    with monkeypatch.context() as m:
+        m.setattr(harness, "FORK_AFTER_S", float("inf"))
+        return grade_run(items, responses)
+
+
+def generated_run(n=240):
+    """n items, mostly expressions with every tenth an equation, answered by
+    three models: m1 skips every fifth item, m2 misses every third, m3 repeats
+    m1's text on odd items; two responses name no item."""
+    items, responses = [], []
+    for k in range(n):
+        a, p = k % 7 + 1, k % 4 + 2
+        if k % 10 == 0:
+            kind, gt = AnswerType.EQUATION, rf"y = {a}x^{{{p}}} + {k}"
+            right, near = rf"{a}x^{{{p}}} + {k} = y", rf"y = {a + 1}x^{{{p}}} + {k}"
+        else:
+            kind, gt = AnswerType.EXPRESSION, rf"\frac{{{a}x}}{{y + {k}}} + z^{{{p}}}"
+            right = rf"z^{{{p}}} + \frac{{{a}x}}{{{k} + y}}"
+            near = rf"\frac{{{a + 1}x}}{{y + {k}}} + z^{{{p}}}"
+        item = BenchmarkItem(f"q{k:03d}", harness.TOPICS[k % 6], kind, "p", gt)
+        items.append(item)
+        if k % 5:
+            responses.append((item.id, "m1", rf"so \boxed{{{right}}}"))
+        responses.append((item.id, "m2", rf"\boxed{{{near if k % 3 == 0 else right}}}"))
+        if k % 2:
+            responses.append((item.id, "m3", rf"so \boxed{{{right}}}"))
+    responses += [("ghost1", "m1", "x"), ("ghost2", "m3", "y")]
+    return items, responses
+
+
+class TestParallelGradeRun:
+    def test_minicorpus_byte_identical(self, forked, monkeypatch, tmp_path):
+        data = resources.files("seedgrade.data")
+        with resources.as_file(data.joinpath("minicorpus.jsonl")) as d, \
+             resources.as_file(data.joinpath("minicorpus_responses.jsonl")) as r:
+            items = load_dataset(d)
+            responses = load_responses(r)
+        serial_run(monkeypatch, items, responses).write(tmp_path / "serial")
+        grade_run(items, responses).write(tmp_path / "forked")
+        assert len(forked) == 2
+        for name in ("items.jsonl", "report.txt", "config.json"):
+            assert (tmp_path / "forked" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
+
+    def test_generated_run_identical(self, forked, monkeypatch):
+        items, responses = generated_run()
+        serial = serial_run(monkeypatch, items, responses)
+        report = grade_run(items, responses)
+        assert len(forked) == 2
+        assert report.records == serial.records
+        diagnostics = {d for r in serial.records for d in r["diagnostics"]}
+        assert {"missing response", "response id not in dataset"} <= diagnostics
+        assert {r["score"] for r in serial.records} > {0.0, 100.0}
+
+    def test_bad_ground_truth_raises_as_serial(self, forked, monkeypatch):
+        # shares are balanced by text length: q1 stays in this process, q2 goes to a child
+        items = [
+            BenchmarkItem("q1", "Others", AnswerType.EXPRESSION, "p", "x + y + z"),
+            BenchmarkItem("q2", "Others", AnswerType.EXPRESSION, "p", "\\frac{"),
+            BenchmarkItem("q3", "Others", AnswerType.EXPRESSION, "p", "x"),
+        ]
+        responses = [(it.id, "m", r"\boxed{x}") for it in items]
+        with pytest.raises(GroundTruthInvalid) as serial:
+            serial_run(monkeypatch, items, responses)
+        with pytest.raises(GroundTruthInvalid) as exc:
+            grade_run(items, responses)
+        assert len(forked) == 2
+        assert str(exc.value) == str(serial.value)
+        assert exc.value.line == serial.value.line
+
+    def test_first_failing_item_is_raised(self, forked):
+        items = [BenchmarkItem(f"q{k}", "Others", AnswerType.EXPRESSION, "p", "\\frac{" + "x" * k)
+                 for k in range(6)]
+        responses = [(it.id, "m", r"\boxed{x}") for it in items]
+        with pytest.raises(GroundTruthInvalid, match="frac\\{'"):
+            grade_run(items, responses)
+        assert len(forked) == 2
+
+    def test_dead_worker_raises(self, forked, monkeypatch):
+        parent = os.getpid()
+        calls = []
+        real = harness.grade_prediction
+
+        def dying(text, gt, cfg):
+            calls.append(text)
+            if os.getpid() != parent and len(calls) == 2:
+                os._exit(1)
+            return real(text, gt, cfg)
+
+        monkeypatch.setattr(harness, "grade_prediction", dying)
+        items, responses = generated_run(30)
+        with time_limit(20), pytest.raises(RuntimeError, match="ended without a result"):
+            grade_run(items, responses)
+        assert len(forked) == 2
+
+    def test_interrupt_kills_workers(self, forked, monkeypatch):
+        parent = os.getpid()
+
+        def stuck(text, gt, cfg):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(harness, "grade_prediction", stuck)
+        items, responses = generated_run(30)
+        with time_limit(20), pytest.raises(KeyboardInterrupt):
+            grade_run(items, responses)
+        assert len(forked) == 2
+
+    def test_serial_with_one_cpu_or_another_thread(self, forked, monkeypatch):
+        items, responses = generated_run(20)
+        serial = serial_run(monkeypatch, items, responses)
+        with monkeypatch.context() as m:
+            m.setattr(harness, "_usable_cpus", lambda: 1)
+            assert grade_run(items, responses).records == serial.records
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert grade_run(items, responses).records == serial.records
+        finally:
+            stop.set()
+            thread.join(5)
+        assert not thread.is_alive()
+        assert forked == []
 
 
 class TestAggregate:
