@@ -247,33 +247,50 @@ def _worker_count(remaining: int) -> int:
     return min(_usable_cpus(), remaining)
 
 
-def _split(work, n: int) -> list:
-    """Indices into `work` in n shares of about equal cost, each in item
-    order; an item costs the length of its distinct response texts and of
-    its ground truth, and nothing when no model answered it."""
+MAX_TASKS = 1024  # tasks queued for the workers; 2 bytes each, so the queue fits in any pipe
+
+
+def _tasks(work) -> list:
+    """`work`'s indices in tasks for the workers to take one at a time:
+    costliest items first, at most MAX_TASKS tasks of about equal length.
+    An item costs the length of its distinct response texts and of its
+    ground truth, and nothing when no model answered it."""
     costs = []
     for item, answers in work:
         texts = {text for _, text in answers if text is not None}
         costs.append(sum(map(len, texts)) + len(item.ground_truth) if texts else 0)
-    shares: list = [[] for _ in range(n)]
-    load = [0] * n
-    for i in sorted(range(len(work)), key=costs.__getitem__, reverse=True):
-        k = load.index(min(load))
-        shares[k].append(i)
-        load[k] += costs[i]
-    return [sorted(share) for share in shares]
+    order = sorted(range(len(work)), key=costs.__getitem__, reverse=True)
+    size = -(-len(order) // MAX_TASKS)
+    return [order[k:k + size] for k in range(0, len(order), size)]
 
 
-def _grade_share(work, share, cfg):
-    """Grade the items `share` indexes, in order, up to the first error:
-    ([(index, records)], None or (index, exception))."""
-    done = []
-    for i in share:
+def _grade_tasks(work, tasks, queue: int, cfg):
+    """Grade the tasks whose numbers this process reads from the `queue`
+    pipe until it is empty: ([(index, records)], None or (index, exception)).
+    After an item fails, only items before it are graded, so that the first
+    failing item of the run is among those the workers report."""
+    done: list = []
+    error = None
+    while number := os.read(queue, 2):
+        for i in tasks[int.from_bytes(number, "little")]:
+            if error is not None and i > error[0]:
+                continue
+            try:
+                done.append((i, _grade_item(*work[i], cfg)))
+            except Exception as exc:
+                error = (i, exc)
+    return done, error
+
+
+def _pin(cpus, k: int) -> None:
+    """Keep this process on the k-th of `cpus` (round robin). A scheduler can
+    leave a forked child on its parent's CPU for hundreds of milliseconds
+    while another CPU idles, so unpinned workers sometimes share one CPU."""
+    if cpus:
         try:
-            done.append((i, _grade_item(*work[i], cfg)))
-        except Exception as exc:
-            return done, (i, exc)
-    return done, None
+            os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        except OSError:  # a CPU gone offline, or a host that forbids it
+            pass
 
 
 def _error_to_json(exc) -> dict:
@@ -297,30 +314,38 @@ def _error_from_json(data) -> Exception:
 
 def _grade_parallel(work, workers: int, cfg) -> list:
     """Grade `work` in `workers` processes: this one and workers - 1 forked
-    children, each taking a share of whole items (`_split`), so that each
-    distinct response text is still graded once per item. A child sends its
-    records back through a pipe as JSON and ends with `os._exit`, never
-    returning into the caller. Returns the records in item order, as the
-    serial loop gives them; raises the error of the first item that failed,
-    as the serial loop would. On any error, and on KeyboardInterrupt, every
-    child is killed and reaped before this returns or raises."""
-    mine, *shares = _split(work, workers)
+    children, each pinned to its own usable CPU where the host allows it.
+    The items are queued as tasks of whole items (`_tasks`) in a pipe, and
+    each process takes the next task when it is free, so a slow CPU grades
+    fewer items and each distinct response text is still graded once per
+    item. A child sends its records back through a pipe as JSON and ends
+    with `os._exit`, never returning into the caller. Returns the records in
+    item order, as the serial loop gives them; raises the error of the first
+    item that failed, as the serial loop would. On any error, and on
+    KeyboardInterrupt, every child is killed and reaped before this returns
+    or raises."""
+    tasks = _tasks(work)
+    queue, wfd = os.pipe()
+    with os.fdopen(wfd, "wb") as out:  # at most 2 KiB into an empty pipe: never blocks
+        out.write(b"".join(t.to_bytes(2, "little") for t in range(len(tasks))))
+    affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     children: dict = {}  # pid -> read end of its pipe
     try:
-        for share in shares:
+        _pin(affinity, 0)
+        for k in range(1, workers):
             rfd, wfd = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: grade the share here
+            except OSError:  # no process to spare: the others take its tasks
                 os.close(rfd)
                 os.close(wfd)
-                mine = sorted(mine + share)
-                continue
+                break
             if pid == 0:  # child
                 code = 1
                 try:
                     os.close(rfd)
-                    done, error = _grade_share(work, share, cfg)
+                    _pin(affinity, k)
+                    done, error = _grade_tasks(work, tasks, queue, cfg)
                     if error is not None:
                         error = (error[0], _error_to_json(error[1]))
                     with os.fdopen(wfd, "wb") as out:
@@ -330,7 +355,7 @@ def _grade_parallel(work, workers: int, cfg) -> list:
                     os._exit(code)
             os.close(wfd)
             children[pid] = os.fdopen(rfd, "rb")
-        parts = [_grade_share(work, mine, cfg)]
+        parts = [_grade_tasks(work, tasks, queue, cfg)]
         for pid in list(children):
             with children[pid] as reader:
                 payload = reader.read()
@@ -349,6 +374,12 @@ def _grade_parallel(work, workers: int, cfg) -> list:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             reader.close()
+        os.close(queue)
+        if affinity:
+            try:
+                os.sched_setaffinity(0, affinity)
+            except OSError:
+                pass
     by_index: list = [None] * len(work)
     failures = []
     for done, error in parts:

@@ -302,8 +302,14 @@ class TestParallelGradeRun:
         assert {"missing response", "response id not in dataset"} <= diagnostics
         assert {r["score"] for r in serial.records} > {0.0, 100.0}
 
+    def test_tasks_of_several_items(self, forked, monkeypatch):
+        monkeypatch.setattr(harness, "MAX_TASKS", 7)
+        items, responses = generated_run(60)
+        serial = serial_run(monkeypatch, items, responses)
+        assert grade_run(items, responses).records == serial.records
+        assert len(forked) == 2
+
     def test_bad_ground_truth_raises_as_serial(self, forked, monkeypatch):
-        # shares are balanced by text length: q1 stays in this process, q2 goes to a child
         items = [
             BenchmarkItem("q1", "Others", AnswerType.EXPRESSION, "p", "x + y + z"),
             BenchmarkItem("q2", "Others", AnswerType.EXPRESSION, "p", "\\frac{"),
@@ -355,6 +361,58 @@ class TestParallelGradeRun:
         items, responses = generated_run(30)
         with time_limit(20), pytest.raises(KeyboardInterrupt):
             grade_run(items, responses)
+        assert len(forked) == 2
+
+    def test_idle_workers_take_the_tasks_of_a_busy_one(self, forked, monkeypatch):
+        parent = os.getpid()
+        calls = []
+        real = harness.grade_prediction
+
+        def slow_here(text, gt, cfg):
+            if os.getpid() == parent:
+                calls.append(text)
+                time.sleep(0.5)
+            return real(text, gt, cfg)
+
+        items, responses = generated_run(30)
+        serial = serial_run(monkeypatch, items, responses)
+        monkeypatch.setattr(harness, "grade_prediction", slow_here)
+        assert grade_run(items, responses).records == serial.records
+        assert len(forked) == 2
+        assert 1 <= len(calls) <= 3  # one item, while the children grade the other 29
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                        reason="needs CPU affinity calls and two usable CPUs")
+    def test_workers_pinned_apart_and_affinity_restored(self, forked, monkeypatch, tmp_path):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        log = tmp_path / "cpus"
+        real = harness.grade_prediction
+
+        def logged(text, gt, cfg):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
+            time.sleep(0.01)  # slow enough that both processes take tasks
+            return real(text, gt, cfg)
+
+        monkeypatch.setattr(harness, "grade_prediction", logged)
+        before = os.sched_getaffinity(0)
+        items, responses = generated_run(30)
+        grade_run(items, responses)
+        assert len(forked) == 1
+        assert os.sched_getaffinity(0) == before
+        cpus = {pid: json.loads(c) for pid, c in (ln.split(" ", 1) for ln in log.read_text().splitlines())}
+        assert len(cpus) == 2
+        assert all(len(c) == 1 for c in cpus.values())
+        assert len({c[0] for c in cpus.values()}) == 2
+
+    def test_refused_pinning_still_grades(self, forked, monkeypatch):
+        def refuse(pid, cpus):
+            raise OSError("not allowed")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+        items, responses = generated_run(30)
+        serial = serial_run(monkeypatch, items, responses)
+        assert grade_run(items, responses).records == serial.records
         assert len(forked) == 2
 
     def test_serial_with_one_cpu_or_another_thread(self, forked, monkeypatch):
