@@ -95,10 +95,23 @@ def _split_term(t: MathNode):
     return _F1, t
 
 
+def _has_zero_pole(node: MathNode) -> bool:
+    """Whether node holds a power of the number 0. canon_pow keeps one only
+    when it is undefined or its exponent is symbolic, so a zero coefficient
+    must not absorb it."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n.kind is Kind.POW and n.children[0] == ZERO:
+            return True
+        stack.extend(n.children)
+    return False
+
+
 def _with_coeff(coeff: Fraction, base: MathNode) -> MathNode:
     if base == ONE:
         return num(coeff)
-    if coeff == 0:
+    if coeff == 0 and not _has_zero_pole(base):
         return ZERO
     if coeff == 1:
         return base
@@ -131,7 +144,7 @@ def canon_add(terms) -> MathNode:
             entry[0] += coeff
     out = []
     for coeff, base in buckets.values():
-        if coeff == 0:
+        if coeff == 0 and not _has_zero_pole(base):
             continue
         out.append(_with_coeff(coeff, base))
     if constant != 0:
@@ -219,8 +232,6 @@ def canon_mul(factors) -> MathNode:
     order = []
     for f in flat:
         if f.kind is Kind.NUMBER:
-            if f.payload == 0:
-                return ZERO
             coeff *= f.payload
             continue
         base, exp = _split_pow(f)
@@ -252,7 +263,7 @@ def canon_mul(factors) -> MathNode:
             coeff *= factor.payload
             continue
         out.append(factor)
-    if coeff == 0:
+    if coeff == 0 and not any(map(_has_zero_pole, out)):
         return ZERO
     if not out:
         return num(coeff)

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data error (bad dataset rows,
-unreadable ground truths, degenerate correlation input, HTTP failures).
+unreadable ground truths, degenerate correlation input).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .grader import grade
 from .harness import (
     RunReport,
     aggregate,
-    fetch_responses,
     grade_run,
     load_dataset,
     load_responses,
@@ -64,13 +63,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("correlate", help="Spearman rank correlation of two runs")
     p.add_argument("--a", required=True, help="first run directory")
     p.add_argument("--b", required=True, help="second run directory")
-
-    p = sub.add_parser("fetch", help="fetch model responses for a dataset")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--endpoint", required=True, help="chat-completions URL")
-    p.add_argument("--cache-dir", default="response_cache")
-    p.add_argument("--out", required=True, help="responses file to write")
 
     return parser
 
@@ -122,22 +114,6 @@ def _dispatch(args) -> int:
         rho = spearman([sa[k] for k in shared], [sb[k] for k in shared])
         print(f"n = {len(shared)}")
         print(f"spearman = {rho:.6f}")
-        return 0
-
-    if args.command == "fetch":
-        items = load_dataset(args.dataset)
-        responses = fetch_responses(
-            {"url": args.endpoint}, items, args.model, cache_dir=args.cache_dir
-        )
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for item_id, model, text in responses:
-                fh.write(
-                    json.dumps(
-                        {"id": item_id, "model": model, "response": text}, sort_keys=True
-                    )
-                    + "\n"
-                )
-        print(f"wrote {len(responses)} responses to {args.out}")
         return 0
 
     raise AssertionError(args.command)

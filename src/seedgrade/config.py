@@ -3,7 +3,11 @@ edit costs, score mapping, and preprocessing limits."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
+
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,14 @@ class GradeConfig:
             <= self.insert_cost + self.delete_cost
         ):
             raise ValueError("need rename <= kind_change <= insert + delete")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if not self.zero_cutoff > 0:
+            raise ValueError("zero_cutoff must be positive")
+        for name in ("rtol", "eval_rtol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def relabel(self, a, b):
         """Edit cost of turning node a into node b."""
@@ -72,7 +84,9 @@ class GradeConfig:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 current = getattr(cfg, key)
                 if isinstance(current, bool):
-                    overrides[key] = value.lower() in ("1", "true", "yes", "on")
+                    if value.lower() not in _BOOLS:
+                        raise ValueError(f"{path}:{lineno}: {key} is not a boolean: {value!r}")
+                    overrides[key] = _BOOLS[value.lower()]
                 elif isinstance(current, int):
                     overrides[key] = int(value)
                 else:

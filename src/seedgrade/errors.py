@@ -87,13 +87,3 @@ class SchemaError(GradingError):
 
 class DegenerateInput(GradingError):
     """Correlation input is constant or too short."""
-
-
-class HttpError(GradingError):
-    def __init__(self, status: int, message: str = ""):
-        super().__init__(f"HTTP {status}: {message}")
-        self.status = status
-
-
-class CacheCorrupt(GradingError):
-    """A cached response file exists but cannot be decoded."""

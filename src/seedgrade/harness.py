@@ -1,32 +1,20 @@
-"""Dataset ingestion, batch grading, aggregation, metric comparison, and
-optional response fetching against an OpenAI-compatible endpoint."""
+"""Dataset ingestion, batch grading, aggregation and metric comparison."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import random
 import signal
 import sys
 import threading
 import time
 import traceback
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import errors
 from .config import GradeConfig
-from .errors import (
-    CacheCorrupt,
-    DegenerateInput,
-    GradingError,
-    GroundTruthInvalid,
-    HttpError,
-    SchemaError,
-)
+from .errors import DegenerateInput, GradingError, GroundTruthInvalid, SchemaError
 from .grader import grade_prediction, parse_ground_truth
 from .nodes import AnswerType
 from .ted import GradeResult
@@ -466,111 +454,3 @@ def spearman(x, y) -> float:
     vx = sum((a - mx) ** 2 for a in rx)
     vy = sum((b - my) ** 2 for b in ry)
     return cov / (vx * vy) ** 0.5
-
-
-# --- response fetching -------------------------------------------------------
-
-PROMPT_TEMPLATE = (
-    "You are a condensed matter physics expert. Please read the following "
-    "question and provide a step-by-step solution using only the given "
-    "symbols. Do not introduce any new symbols that are not provided in the "
-    "problem statement. Your final answer must be presented as a readable "
-    "LaTeX formula, enclosed in a \\boxed{} environment.\n\n"
-)
-
-
-def build_prompt(problem: str) -> str:
-    return PROMPT_TEMPLATE + problem
-
-API_KEY_ENV = "SEEDGRADE_API_KEY"
-
-
-def _default_transport(url: str, headers: dict, payload: bytes):
-    req = urllib.request.Request(url, data=payload, headers=headers, method="POST")
-    try:
-        with urllib.request.urlopen(req, timeout=120) as resp:
-            return resp.status, resp.read().decode("utf-8")
-    except urllib.error.HTTPError as exc:
-        return exc.code, exc.read().decode("utf-8", "replace")
-
-
-def _prompt_hash(problem: str) -> str:
-    return hashlib.sha1((PROMPT_TEMPLATE + "\x00" + problem).encode()).hexdigest()
-
-
-def fetch_responses(
-    endpoint_config: dict,
-    items,
-    model_name: str,
-    transport=None,
-    cache_dir="response_cache",
-    max_retries: int = 5,
-) -> list:
-    """Fetch one chat completion per item, with an on-disk resume cache.
-
-    endpoint_config keys: url (required), backoff_base (seconds, default 1.0),
-    temperature (default 0.0). The API key is read from $SEEDGRADE_API_KEY.
-    """
-    url = endpoint_config["url"]
-    backoff_base = float(endpoint_config.get("backoff_base", 1.0))
-    transport = transport or _default_transport
-    cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
-    rng = random.Random(0xFE7C)
-    api_key = os.environ.get(API_KEY_ENV, "")
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-
-    out = []
-    for item in items:
-        phash = _prompt_hash(item.problem)
-        key = hashlib.sha1(f"{model_name}|{item.id}|{phash}".encode()).hexdigest()
-        cache_file = cache / f"{key}.json"
-        if cache_file.exists():
-            try:
-                cached = json.loads(cache_file.read_text("utf-8"))
-                text = cached["response"]
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise CacheCorrupt(f"{cache_file}: {exc}") from exc
-            out.append((item.id, model_name, text))
-            continue
-        payload = json.dumps(
-            {
-                "model": model_name,
-                "temperature": endpoint_config.get("temperature", 0.0),
-                "messages": [
-                    {
-                        "role": "user",
-                        "content": build_prompt(item.problem),
-                    }
-                ],
-            }
-        ).encode("utf-8")
-        status, body = None, ""
-        for attempt in range(max_retries + 1):
-            status, body = transport(url, headers, payload)
-            if status == 200:
-                break
-            if status in (429, 500, 502, 503) and attempt < max_retries:
-                time.sleep(backoff_base * (2**attempt) + rng.uniform(0, backoff_base))
-                continue
-            raise HttpError(status, body[:300])
-        if status != 200:
-            raise HttpError(status or 0, "retries exhausted")
-        data = json.loads(body)
-        text = data["choices"][0]["message"]["content"]
-        cache_file.write_text(
-            json.dumps(
-                {
-                    "model": model_name,
-                    "item_id": item.id,
-                    "prompt_hash": phash,
-                    "response": text,
-                },
-                sort_keys=True,
-            ),
-            "utf-8",
-        )
-        out.append((item.id, model_name, text))
-    return out

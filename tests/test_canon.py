@@ -51,6 +51,7 @@ class TestRewrites:
         assert canon(mul(num(0), x)) == num(0)
         assert canon(pow_(x, num(0))) == num(1)
         assert canon(add(x, mul(num(-1), x))) == num(0)
+        assert canon(add(x, mul(num(-1), x), y)) == y
 
     def test_idempotent(self):
         t = parse(r"\frac{(x+y)^2 - x^2}{2y} + \sqrt{x^4}")

@@ -45,15 +45,24 @@ class TestGradeCommand:
         assert main(["grade", "--pred", "x"]) == 1
         assert main(["grade", "--pred", "x", "--gt", "x", "--type", "poem"]) == 1
         assert main(["not-a-command"]) == 1
+        # there is no fetch subcommand: grading needs no network
+        assert main(["fetch", "--dataset", "d.jsonl", "--model", "m", "--out", "r.jsonl",
+                     "--endpoint", "https://api.example/v1/chat/completions"]) == 1
 
     def test_bad_costs_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("rename_cost = 3\nkind_change_cost = 3\n")
-        # an equivalent pair needs no edit distance, yet the config is refused
-        rc = main(["grade", "--pred", "\\boxed{x+y}", "--gt", "y+x",
-                   "--type", "expression", "--config", str(cfg)])
-        assert rc == 1
-        assert "bad config file" in capsys.readouterr().err
+        for text in [
+            "rename_cost = 3\nkind_change_cost = 3\n",
+            "trials = 0\n",
+            "zero_cutoff = 0\n",
+            "numeric_partial = ture\n",
+        ]:
+            cfg.write_text(text)
+            # an equivalent pair needs no edit distance, yet the config is refused
+            rc = main(["grade", "--pred", "\\boxed{x+y}", "--gt", "y+x",
+                       "--type", "expression", "--config", str(cfg)])
+            assert rc == 1, text
+            assert "bad config file" in capsys.readouterr().err
 
     def test_data_error_exit_2(self):
         assert main(["grade", "--pred", "x", "--gt", "\\frac{", "--type", "expression"]) == 2

@@ -83,7 +83,7 @@ def agrees(a: MathNode, b: MathNode) -> bool:
         return True
     sa, sb = to_sympy(a), to_sympy(b)
     if sa.has(sympy.zoo, sympy.nan) or sb.has(sympy.zoo, sympy.nan):
-        return True  # undefined everywhere, e.g. 0 * 0^-1, which canonicalization folds to 0
+        return True  # sympy reads part of it as undefined: no value to compare
     return verdict == (sympy.cancel(sa - sb) == 0)
 
 

@@ -141,9 +141,15 @@ class TestEquivalenceSoundness:
         (r"\frac{1}{x-x}", "0"),
         (r"\frac{1}{x-x}+y", "y"),
         (r"0^{-1}", "0"),
+        # a zero coefficient must not absorb an undefined factor
+        (r"0 \cdot \frac{1}{0}", "0"),
+        (r"(x-x) \cdot \frac{1}{x-x}", "0"),
+        (r"(x-x) \cdot \frac{1}{x-x} + y", "y"),
     ])
     def test_zero_to_negative_power_is_undefined(self, pred, gt):
-        assert score(rf"\boxed{{{pred}}}", gt, "expression").score < 100
+        r = score(rf"\boxed{{{pred}}}", gt, "expression")
+        assert r.score < 100
+        assert not any(d.startswith("internal-error") for d in r.diagnostics)
 
     def test_zero_to_positive_power_is_zero(self):
         assert score(r"\boxed{0^{2}}", "0", "expression").score == 100
@@ -224,9 +230,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             GradeConfig.load(path)
 
-    @pytest.mark.parametrize(
-        "text", ["rename_cost = 3\nkind_change_cost = 3\n", "delete_cost = -1\n"]
-    )
+    @pytest.mark.parametrize("text", [
+        "rename_cost = 3\nkind_change_cost = 3\n",
+        "delete_cost = -1\n",
+        # values that would grade silently wrong: every pair equivalent,
+        # every miss a ZeroDivisionError, a misspelt flag read as false
+        "trials = 0\n",
+        "zero_cutoff = 0\n",
+        "rtol = -0.1\n",
+        "eval_rtol = nan\n",
+        "eval_rtol = inf\n",
+        "numeric_partial = ture\n",
+    ])
     def test_load_rejects_bad_costs(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
         path.write_text(text)
