@@ -230,11 +230,17 @@ def canon_mul(factors) -> MathNode:
     coeff = _F1
     buckets: dict = {}
     order = []
+    out = []
     for f in flat:
         if f.kind is Kind.NUMBER:
             coeff *= f.payload
             continue
         base, exp = _split_pow(f)
+        if base.kind is Kind.NUMBER and base.payload == 0:
+            # 0^a * 0^b is not 0^(a+b) where either one is undefined: the
+            # sum can cancel a pole (0^x * 0^-x), so each is kept apart
+            out.append(f)
+            continue
         key = sort_key(base)
         entry = buckets.get(key)
         if entry is None:
@@ -242,7 +248,6 @@ def canon_mul(factors) -> MathNode:
             order.append(key)
         else:
             entry[1].append(exp)
-    out = []
     for key in order:
         base, exps = buckets[key]
         if len(exps) == 1:
@@ -642,6 +647,10 @@ def equivalent(a, b, cfg: GradeConfig = GradeConfig()) -> bool:
                     va = evaluate_float(fa, env)
                     vb = evaluate_float(fb, env)
             except (ZeroDivisionError, ValueError, OverflowError):
+                continue
+            if not (mpmath.isfinite(va) and mpmath.isfinite(vb)):
+                # 0 to a negative real power reads as inf, and inf - inf
+                # as nan, which no tolerance test would reject
                 continue
             diff = abs(va - vb)
             if diff > cfg.eval_rtol * (1 + abs(va) + abs(vb)):

@@ -45,6 +45,12 @@ class GradeConfig:
             raise ValueError("trials must be at least 1")
         if not self.zero_cutoff > 0:
             raise ValueError("zero_cutoff must be positive")
+        if not (math.isfinite(self.max_score) and self.max_score > 0):
+            raise ValueError("max_score must be finite and positive")
+        if not 0 <= self.openness_penalty <= 1:
+            raise ValueError("openness_penalty must lie in [0, 1]")
+        if self.max_bracket_inserts < 0:
+            raise ValueError("max_bracket_inserts must be nonnegative")
         for name in ("rtol", "eval_rtol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -4,6 +4,8 @@ results; only ground-truth failures raise."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .canon import canonical_relation
 from .config import GradeConfig
 from .errors import DimensionMismatch, GradingError, GroundTruthInvalid
@@ -197,11 +199,26 @@ def grade_prediction(pred_raw: str, gt: TypedAnswer, cfg: GradeConfig = GradeCon
     return result
 
 
+@lru_cache(maxsize=1024)
+def _prepared_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig) -> TypedAnswer:
+    """The parsed ground truth, kept for `grade` across calls. Its canonical
+    trees and evaluation plans are filled on first use and kept on its nodes,
+    so a hit skips every ground-truth stage. An invalid ground truth raises
+    and is not kept. 1024 entries hold a whole CMPhysBench run."""
+    return parse_ground_truth(gt_raw, declared, cfg)
+
+
 def grade(
     pred_raw: str,
     gt_raw: str,
     declared: AnswerType,
     cfg: GradeConfig = GradeConfig(),
 ) -> GradeResult:
-    """Grade one raw prediction text against one ground-truth LaTeX string."""
-    return grade_prediction(pred_raw, parse_ground_truth(gt_raw, declared, cfg), cfg)
+    """Grade one raw prediction text against one ground-truth LaTeX string.
+
+    The parsed ground truth is kept in a memo of the last 1024 distinct
+    (gt_raw, declared, cfg) keys, so a reward function or a loop over many
+    models that grades the same ground truth again pays only for the
+    prediction. `grade_run` parses each item once itself and does not use it.
+    """
+    return grade_prediction(pred_raw, _prepared_ground_truth(gt_raw, declared, cfg), cfg)

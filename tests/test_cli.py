@@ -56,6 +56,9 @@ class TestGradeCommand:
             "trials = 0\n",
             "zero_cutoff = 0\n",
             "numeric_partial = ture\n",
+            "max_score = -5\n",
+            "openness_penalty = 3\n",
+            "max_bracket_inserts = -1\n",
         ]:
             cfg.write_text(text)
             # an equivalent pair needs no edit distance, yet the config is refused

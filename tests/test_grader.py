@@ -3,10 +3,11 @@ import time
 
 import pytest
 
-from seedgrade import canon
+from seedgrade import canon, grader
 from seedgrade.config import GradeConfig
 from seedgrade.errors import GroundTruthInvalid
 from seedgrade.grader import grade, parse_ground_truth
+from seedgrade.harness import BenchmarkItem, grade_run
 from seedgrade.nodes import AnswerType
 
 CFG = GradeConfig()
@@ -153,6 +154,14 @@ class TestEquivalenceSoundness:
 
     def test_zero_to_positive_power_is_zero(self):
         assert score(r"\boxed{0^{2}}", "0", "expression").score == 100
+        assert score(r"\boxed{0^{2} \cdot 0^{3}}", "0", "expression").score == 100
+
+    @pytest.mark.parametrize("pred", [r"0^{x} \cdot 0^{-x}", r"\frac{0^{x}}{0^{x}}"])
+    def test_zero_base_exponents_not_collected(self, pred):
+        # 0^{-x} is undefined for x > 0, so the product is not 0^{0} = 1
+        r = score(rf"\boxed{{{pred}}}", "1", "expression")
+        assert r.score < 100 and not r.equivalent
+        assert not any(d.startswith("internal-error") for d in r.diagnostics)
 
     @pytest.mark.xfail(
         strict=True,
@@ -241,6 +250,14 @@ class TestConfig:
         "eval_rtol = nan\n",
         "eval_rtol = inf\n",
         "numeric_partial = ture\n",
+        # scores outside [0, max_score]: -5 for a miss, -100 for an interval
+        "max_score = -5\n",
+        "max_score = 0\n",
+        "max_score = inf\n",
+        "openness_penalty = 3\n",
+        "openness_penalty = -0.5\n",
+        "openness_penalty = nan\n",
+        "max_bracket_inserts = -1\n",
     ])
     def test_load_rejects_bad_costs(self, tmp_path, text):
         path = tmp_path / "bad.cfg"
@@ -291,3 +308,69 @@ class TestCanonicalizeOnce:
     def test_calls_per_grade(self, canon_calls, pred, gt, t, expected):
         score(pred, gt, t)
         assert len(canon_calls) == expected
+
+
+class TestGroundTruthMemo:
+    """`grade` keeps each parsed ground truth, with its canonical trees and
+    plans, across calls; conftest empties the memo before every test."""
+
+    @pytest.mark.parametrize(
+        "pred, gt, t, cold, warm",
+        [
+            (r"\boxed{x+y}", "y+x", "expression", 2, 1),
+            (r"\boxed{(1, 2, 4)}", "(1, 2, 3)", "tuple", 6, 3),
+        ],
+    )
+    def test_warm_grade_canonicalizes_prediction_only(self, canon_calls, pred, gt, t, cold, warm):
+        score(pred, gt, t)
+        assert len(canon_calls) == cold
+        score(pred, gt, t)
+        assert len(canon_calls) == cold + warm
+
+    @pytest.mark.parametrize(
+        "pred, gt, t",
+        [
+            (r"\boxed{\frac{m}{2\pi\hbar^2}}", r"\frac{m}{\pi \hbar^2}", "expression"),
+            (r"\boxed{x^2 + 2x = y}", "y = x^2 + 2x", "equation"),
+            (r"\boxed{[0, L)}", "(0, L)", "interval"),
+            (r"\boxed{(1, 2)}", "(1, 2, 3)", "tuple"),
+            (r"\boxed{3.0 \times 10^{8} \text{ m/s}}", r"2.998 \times 10^{8} \text{ m/s}", "numeric"),
+        ],
+    )
+    def test_warm_equals_cold(self, pred, gt, t):
+        cold = score(pred, gt, t).to_dict()
+        assert grader._prepared_ground_truth.cache_info().currsize == 1
+        assert score(pred, gt, t).to_dict() == cold
+        assert grader._prepared_ground_truth.cache_info().hits == 1
+
+    def test_keyed_on_config(self):
+        assert score(r"\boxed{x+1}", "(x+1", "expression").score == 100
+        with pytest.raises(GroundTruthInvalid):
+            score(r"\boxed{x+1}", "(x+1", "expression", GradeConfig(max_bracket_inserts=0))
+
+    def test_invalid_raises_every_call(self):
+        for _ in range(3):
+            with pytest.raises(GroundTruthInvalid):
+                score("x", r"\frac{", "expression")
+        assert grader._prepared_ground_truth.cache_info().currsize == 0
+
+    def test_least_recent_evicted(self):
+        memo = grader._prepared_ground_truth
+        size = 1024
+        assert memo.cache_info().maxsize == size
+        for i in range(size + 1):
+            score(rf"\boxed{{{i}}}", str(i), "expression")
+        info = memo.cache_info()
+        assert (info.currsize, info.misses) == (size, size + 1)
+        score(rf"\boxed{{{size}}}", str(size), "expression")
+        assert memo.cache_info().hits == 1
+        score(r"\boxed{0}", "0", "expression")
+        assert memo.cache_info().misses == size + 2
+
+    def test_grade_run_leaves_memo_empty(self):
+        items = [
+            BenchmarkItem("q1", "Magnetism", AnswerType.EXPRESSION, "p", "2x"),
+            BenchmarkItem("q2", "Others", AnswerType.TUPLE, "p", "(1, 2)"),
+        ]
+        grade_run(items, [("q1", "m", r"\boxed{2x}"), ("q2", "m", r"\boxed{(1, 3)}")])
+        assert grader._prepared_ground_truth.cache_info().currsize == 0
