@@ -381,16 +381,6 @@ def canonical_relation(node: MathNode) -> tuple:
     return c
 
 
-def equation_equivalent(a: MathNode, b: MathNode, cfg: GradeConfig = GradeConfig()) -> bool:
-    """Same solution set: equal up to positive rational scale (any nonzero
-    rational scale for equalities, which sign standardization absorbs)."""
-    sa = standardize_relation(a)
-    sb = standardize_relation(b)
-    if sa.payload != sb.payload:
-        return False
-    return equivalent(sa.children[0], sb.children[0], cfg)
-
-
 # --- evaluation --------------------------------------------------------------
 
 # The exact path evaluates in the field GF(P).  Two rational functions whose

@@ -17,9 +17,7 @@ class Kind(Enum):
     DERIVATIVE = "derivative"
     MATRIX = "matrix"
     RELATION = "relation"
-    TUPLE = "tuple"
     INTERVAL = "interval"
-    UNIT = "unit"
 
 
 # Rank used by the canonical total order; numerics sort first so sign
@@ -35,9 +33,7 @@ KIND_RANK = {
     Kind.DERIVATIVE: 7,
     Kind.MATRIX: 8,
     Kind.RELATION: 9,
-    Kind.TUPLE: 10,
     Kind.INTERVAL: 11,
-    Kind.UNIT: 12,
 }
 
 CONSTANT_NAMES = ("pi", "e", "i")
@@ -120,10 +116,6 @@ class MathNode:
         if k is Kind.INTERVAL:
             lo, hi = self.payload
             return ("(" if lo else "[") + "," + (")" if hi else "]")
-        if k is Kind.TUPLE:
-            return "tuple"
-        if k is Kind.UNIT:
-            return f"qty{self.payload}"
         raise AssertionError(k)
 
 

@@ -47,8 +47,6 @@ MATRIX_ENVS = {"pmatrix", "bmatrix", "vmatrix", "Vmatrix", "matrix"}
 _OPERAND_ENDERS = {"num", "sym", "const", "rparen", "rbrack", "rbrace", "bang", "prime"}
 _OPERAND_STARTERS = {"num", "sym", "const", "lparen", "frac", "sqrt", "func", "begin"}
 
-_NUM_RE = re.compile(r"\d+(?:\.\d+)?")
-
 
 class Token:
     __slots__ = ("kind", "value", "pos")
@@ -62,26 +60,31 @@ class Token:
         return f"Token({self.kind}{'' if self.value is None else ':' + str(self.value)})"
 
 
-def _command_token(name: str, pos: int) -> Token:
-    if name == "pi":
-        return Token("const", "pi", pos)
-    if name in SYMBOL_COMMANDS:
-        return Token("sym", name, pos)
-    if name in FUNCTION_COMMANDS:
-        return Token("func", name, pos)
-    if name == "frac":
-        return Token("frac", None, pos)
-    if name == "sqrt":
-        return Token("sqrt", None, pos)
-    if name in ("cdot", "times"):
-        return Token("star", None, pos)
-    if name == "div":
-        return Token("slash", None, pos)
-    if name == "le":
-        return Token("relop", "<=", pos)
-    if name == "ge":
-        return Token("relop", ">=", pos)
-    raise UnknownCommand("\\" + name, pos)
+# (kind, value) of each command and operator token
+_FIXED_TOKENS = {
+    **{"\\" + name: ("sym", name) for name in SYMBOL_COMMANDS},
+    **{"\\" + name: ("func", name) for name in FUNCTION_COMMANDS},
+    "\\pi": ("const", "pi"), "\\frac": ("frac", None), "\\sqrt": ("sqrt", None),
+    "\\cdot": ("star", None), "\\times": ("star", None), "\\div": ("slash", None),
+    "\\le": ("relop", "<="), "\\ge": ("relop", ">="), "\\\\": ("rowsep", None),
+    "+": ("plus", None), "-": ("minus", None), "*": ("star", None),
+    "/": ("slash", None), "^": ("caret", None), "_": ("under", None),
+    "!": ("bang", None), "'": ("prime", None), "(": ("lparen", None),
+    ")": ("rparen", None), "[": ("lbrack", None), "]": ("rbrack", None),
+    "{": ("lbrace", None), "}": ("rbrace", None), ",": ("comma", None),
+    "&": ("amp", None), "=": ("relop", "="), "<": ("relop", "<"), ">": ("relop", ">"),
+}
+
+# One alternative per token class, tried at each position.  It reads ASCII
+# only, which is what canonicalize_latex emits; [\t-\r\x1c-\x20] is the ASCII
+# whitespace of str.isspace.
+_TOKEN_RE = re.compile(
+    r"(?P<space> +)"
+    r"|\\(?P<env>begin|end)[\t-\r\x1c-\x20]*\{(?P<env_name>[A-Za-z*]+)\}"
+    r"|(?P<fixed>\\[A-Za-z]+|\\\\|[-+*/^_!'()\[\]{},&=<>])"
+    r"|(?P<num>[0-9]+(?:\.[0-9]+)?)"
+    r"|(?P<letter>[A-Za-z])"
+)
 
 
 def tokenize(src) -> list:
@@ -93,61 +96,24 @@ def tokenize(src) -> list:
     text = src.text if isinstance(src, CleanLatex) else src
     raw: list = []
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == " ":
-            i += 1
-            continue
-        if ch == "\\":
-            if i + 1 < n and text[i + 1] == "\\":
-                raw.append(Token("rowsep", None, i))
-                i += 2
-                continue
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            if j == i + 1:
-                raise UnknownCommand(text[i : i + 2], i)
-            name = text[i + 1 : j]
-            if name in ("begin", "end"):
-                m = re.match(r"\s*\{([a-zA-Z*]+)\}", text[j:])
-                if not m:
-                    raise UnknownCommand("\\" + name, i)
-                raw.append(Token(name, m.group(1), i))
-                i = j + m.end()
-                continue
-            raw.append(_command_token(name, i))
-            i = j
-            continue
-        if ch.isdigit():
-            m = _NUM_RE.match(text, i)
-            raw.append(Token("num", Fraction(m.group(0)), i))
-            i = m.end()
-            continue
-        if ch.isalpha():
-            if ch == "e":
-                raw.append(Token("const", "e", i))
-            elif ch == "i":
-                raw.append(Token("const", "i", i))
-            else:
-                raw.append(Token("sym", ch, i))
-            i += 1
-            continue
-        simple = {
-            "+": "plus", "-": "minus", "*": "star", "/": "slash",
-            "^": "caret", "_": "under", "!": "bang", "'": "prime",
-            "(": "lparen", ")": "rparen", "[": "lbrack", "]": "rbrack",
-            "{": "lbrace", "}": "rbrace", ",": "comma", "&": "amp",
-            "=": "relop", "<": "relop", ">": "relop",
-        }
-        if ch in simple:
-            kind = simple[ch]
-            value = ch if kind == "relop" else None
-            raw.append(Token(kind, value, i))
-            i += 1
-            continue
-        raise UnknownCommand(ch, i)
+    while i < len(text):
+        m = _TOKEN_RE.match(text, i)
+        if m is None:
+            raise UnknownCommand(text[i : i + 2] if text[i] == "\\" else text[i], i)
+        group = m.lastgroup
+        if group == "fixed":
+            fixed = _FIXED_TOKENS.get(m.group(group))
+            if fixed is None:
+                raise UnknownCommand(m.group(group), i)
+            raw.append(Token(*fixed, i))
+        elif group == "num":
+            raw.append(Token("num", Fraction(m.group(group)), i))
+        elif group == "letter":
+            ch = m.group(group)
+            raw.append(Token("const" if ch in "ei" else "sym", ch, i))
+        elif group == "env_name":
+            raw.append(Token(m.group("env"), m.group(group), i))
+        i = m.end()
 
     glued = _glue_subscripts(raw)
     return _insert_implicit_mul(glued)
@@ -601,9 +567,7 @@ def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
         eq = _find_top_level_eq(t)
         if eq is not None:
             t = t[eq + 1 :].strip()
-        quantity = parse_quantity(t)
-        node = MathNode(Kind.UNIT, (float(quantity.magnitude), quantity.dimension))
-        return TypedAnswer(AnswerType.NUMERIC, (node,), quantity=quantity)
+        return TypedAnswer(AnswerType.NUMERIC, (), quantity=parse_quantity(t))
 
     raise AssertionError(declared)
 
@@ -701,8 +665,6 @@ def serialize(node: MathNode) -> str:
                 " & ".join(serialize(node.children[r * cols + c]) for c in range(cols))
             )
         return "\\begin{pmatrix} " + " \\\\ ".join(lines) + " \\end{pmatrix}"
-    if k is Kind.TUPLE:
-        return "(" + ", ".join(serialize(c) for c in node.children) + ")"
     if k is Kind.INTERVAL:
         lo, hi = node.payload
         return (
@@ -712,6 +674,4 @@ def serialize(node: MathNode) -> str:
             + serialize(node.children[1])
             + (")" if hi else "]")
         )
-    if k is Kind.UNIT:
-        return str(node.payload[0])
     raise AssertionError(k)

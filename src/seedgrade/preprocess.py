@@ -99,16 +99,15 @@ def _looks_like_unit(content: str) -> bool:
     return all(len(w) <= 3 or w in _UNIT_WORDS for w in words)
 
 
-def _strip_boilerplate(text: str, prefixes) -> tuple:
+def _strip_boilerplate(text: str) -> tuple:
     notes = []
     changed = True
     text = text.strip()
     while changed:
         changed = False
         low = text.lower()
-        for p in prefixes:
-            pl = p.lower()
-            if low.startswith(pl):
+        for p in DEFAULT_BOILERPLATE_PREFIXES:
+            if low.startswith(p):
                 rest = text[len(p):].lstrip()
                 rest = re.sub(r"^(is\b|:|=)\s*", "", rest, flags=re.IGNORECASE)
                 if rest != text:
@@ -124,6 +123,38 @@ def _strip_boilerplate(text: str, prefixes) -> tuple:
     return new, notes
 
 
+# Non-letter escapes: a row separator is kept, spacing and math delimiters
+# become a space, escaped braces become parentheses, a trailing backslash goes.
+_ESCAPES = {
+    **dict.fromkeys(",;:! []()", " "),
+    "\\": "\\\\", "{": "(", "}": ")", "": "",
+}
+_ALIASES = {
+    "dfrac": "\\frac", "tfrac": "\\frac", "cfrac": "\\frac",
+    "leq": "\\le ", "geq": "\\ge ",
+}
+# Commands whose brace group is spliced back into the text, with their note
+# (\text picks its note by its content)
+_WRAPPERS = {
+    "boxed": "boxed", "operatorname": "alias", "text": None,
+    **dict.fromkeys(_FONT_COMMANDS, "font-unwrap"),
+}
+
+_COMMAND_RE = re.compile(r"\\([A-Za-z]+)")
+_SPACES_RE = re.compile(" *")
+
+
+def _group_at(s: str, pos: int):
+    """(content, end) of the brace group at s[pos], after spaces; None if
+    there is no closed group there."""
+    pos = _SPACES_RE.match(s, pos).end()
+    if s.startswith("{", pos):
+        end = _match_brace(s, pos)
+        if end != -1:
+            return s[pos + 1 : end], end + 1
+    return None
+
+
 def _rewrite_commands(s: str, notes: list) -> str:
     """Single scanner pass over LaTeX commands.
 
@@ -132,126 +163,45 @@ def _rewrite_commands(s: str, notes: list) -> str:
     """
     out = []
     i = 0
-    while i < len(s):
-        ch = s[i]
-        if ch != "\\":
-            out.append(ch)
-            i += 1
-            continue
-        if i + 1 >= len(s):
-            i += 1
-            continue
-        nxt = s[i + 1]
-        if not nxt.isalpha():
-            if nxt == "\\":
-                out.append("\\\\")  # matrix row separator
-            elif nxt in ",;:! ":
-                out.append(" ")
-            elif nxt in "[]()":
-                out.append(" ")  # display/inline math delimiters
-            elif nxt in "{}":
-                out.append("(" if nxt == "{" else ")")
+    while (j := s.find("\\", i)) != -1:
+        out.append(s[i:j])
+        m = _COMMAND_RE.match(s, j)
+        if m is None:
+            nxt = s[j + 1 : j + 2]
+            if nxt in ("{", "}"):
                 notes.append("escaped-brace")
-            else:
-                out.append(s[i : i + 2])
-            i += 2
+            out.append(_ESCAPES.get(nxt, "\\" + nxt))
+            i = j + 2
             continue
-        j = i + 1
-        while j < len(s) and s[j].isalpha():
-            j += 1
-        name = s[i + 1 : j]
-        rest = j
-
-        def group_at(pos):
-            while pos < len(s) and s[pos] == " ":
-                pos += 1
-            if pos < len(s) and s[pos] == "{":
-                end = _match_brace(s, pos)
-                if end != -1:
-                    return s[pos + 1 : end], end + 1
-            return None, pos
-
-        if name in ("left", "right"):
+        name = m.group(1)
+        i = m.end()
+        if name in _WRAPPERS:
+            group = _group_at(s, i)
+            if group is None:
+                continue
+            content, after = group
+            note = _WRAPPERS[name]
+            if name == "text":
+                kept = _looks_like_unit(content)
+                note = "text-unit-kept" if kept else "text-dropped"
+                content = f" {content} " if kept else " "
+            elif name == "operatorname":
+                content = "\\" + content.strip() + " "
+            notes.append(note)
+            s, i = content + s[after:], 0
+        elif name in ("left", "right"):
             notes.append("left-right")
-            k = rest
-            while k < len(s) and s[k] == " ":
-                k += 1
-            if k < len(s) and s[k] == ".":
-                rest = k + 1  # \left. has no visible delimiter
-            i = rest
-            continue
-        if name in _SIZE_COMMANDS:
-            i = rest
-            continue
-        if name == "boxed":
-            content, after = group_at(rest)
-            if content is not None:
-                notes.append("boxed")
-                s = content + s[after:]
-                i = 0
-                out_s = "".join(out)
-                out = [out_s]
-                continue
-            i = rest
-            continue
-        if name in _FONT_COMMANDS:
-            content, after = group_at(rest)
-            if content is not None:
-                notes.append("font-unwrap")
-                s = content + s[after:]
-                out = ["".join(out)]
-                i = 0
-                continue
-            i = rest
-            continue
-        if name == "text":
-            content, after = group_at(rest)
-            if content is not None:
-                if _looks_like_unit(content):
-                    notes.append("text-unit-kept")
-                    s = " " + content + " " + s[after:]
-                else:
-                    notes.append("text-dropped")
-                    s = " " + s[after:]
-                out = ["".join(out)]
-                i = 0
-                continue
-            i = rest
-            continue
-        if name == "operatorname":
-            content, after = group_at(rest)
-            if content is not None:
-                notes.append("alias")
-                s = "\\" + content.strip() + " " + s[after:]
-                out = ["".join(out)]
-                i = 0
-                continue
-            i = rest
-            continue
-        if name in ("dfrac", "tfrac", "cfrac"):
+            k = _SPACES_RE.match(s, i).end()
+            if s.startswith(".", k):
+                i = k + 1  # \left. has no visible delimiter
+        elif name in _ALIASES:
             notes.append("alias")
-            out.append("\\frac")
-            i = rest
-            continue
-        if name == "leq":
-            notes.append("alias")
-            out.append("\\le ")
-            i = rest
-            continue
-        if name == "geq":
-            notes.append("alias")
-            out.append("\\ge ")
-            i = rest
-            continue
-        if name in _SPACING_COMMANDS:
+            out.append(_ALIASES[name])
+        elif name in _SPACING_COMMANDS:
             out.append(" ")
-            i = rest
-            continue
-        out.append("\\" + name)
-        # keep a separator so adjacent letters do not merge into the command
-        if rest < len(s) and s[rest].isalpha():
-            out.append(" ")
-        i = rest
+        elif name not in _SIZE_COMMANDS:
+            out.append("\\" + name)
+    out.append(s[i:])
     return "".join(out)
 
 
@@ -307,85 +257,55 @@ def _balance(text: str, limit: int, notes: list) -> str:
     return text
 
 
+_ARG_COMMAND_RE = re.compile(r"\\(frac|sqrt)(?![A-Za-z])")
+
+
+def _brace_arg(text: str, i: int, cmd: str, notes: list) -> tuple:
+    """(argument of \\cmd at text[i] as a brace group, end): a brace group, or
+    a single alphanumeric or command, which gets braces."""
+    i = _SPACES_RE.match(text, i).end()
+    if text.startswith("{", i):
+        end = _match_brace(text, i)
+        if end == -1:
+            raise Unbalanceable(f"unclosed brace in \\{cmd} argument")
+        return text[i : end + 1], end + 1
+    if text[i : i + 1].isalnum():
+        arg = text[i]
+    elif text.startswith("\\", i):
+        m = _COMMAND_RE.match(text, i)
+        if m is None:
+            raise Unbalanceable(f"malformed \\{cmd} argument")
+        arg = m.group(0)
+    else:
+        raise Unbalanceable(f"\\{cmd} is missing an argument")
+    notes.append(f"{cmd}-braces")
+    return "{" + arg + "}", i + len(arg)
+
+
 def _brace_frac_args(text: str, notes: list) -> str:
     """Ensure \\frac and \\sqrt arguments are brace groups."""
     out = []
     i = 0
-    n = len(text)
-    while i < n:
-        if text.startswith("\\frac", i) and not (
-            i + 5 < n and text[i + 5].isalpha()
-        ):
-            out.append("\\frac")
-            i += 5
-            for _ in range(2):
-                while i < n and text[i] == " ":
-                    i += 1
-                if i < n and text[i] == "{":
-                    end = _match_brace(text, i)
-                    if end == -1:
-                        raise Unbalanceable("unclosed brace in \\frac argument")
-                    out.append(text[i : end + 1])
-                    i = end + 1
-                elif i < n and (text[i].isalnum()):
-                    out.append("{" + text[i] + "}")
-                    notes.append("frac-braces")
-                    i += 1
-                elif i < n and text[i] == "\\":
-                    m = re.match(r"\\[a-zA-Z]+", text[i:])
-                    if not m:
-                        raise Unbalanceable("malformed \\frac argument")
-                    out.append("{" + m.group(0) + "}")
-                    notes.append("frac-braces")
-                    i += len(m.group(0))
-                else:
-                    raise Unbalanceable("\\frac is missing an argument")
-            continue
-        if text.startswith("\\sqrt", i) and not (
-            i + 5 < n and text[i + 5].isalpha()
-        ):
-            out.append("\\sqrt")
-            i += 5
-            while i < n and text[i] == " ":
-                i += 1
-            if i < n and text[i] == "[":
-                end = text.find("]", i)
+    while (m := _ARG_COMMAND_RE.search(text, i)) is not None:
+        out.append(text[i : m.end()])
+        i = m.end()
+        cmd = m.group(1)
+        if cmd == "sqrt":
+            k = _SPACES_RE.match(text, i).end()
+            if text.startswith("[", k):
+                end = text.find("]", k)
                 if end == -1:
                     raise Unbalanceable("unclosed \\sqrt index")
-                out.append(text[i : end + 1])
+                out.append(text[k : end + 1])
                 i = end + 1
-                while i < n and text[i] == " ":
-                    i += 1
-            if i < n and text[i] == "{":
-                end = _match_brace(text, i)
-                if end == -1:
-                    raise Unbalanceable("unclosed brace in \\sqrt argument")
-                out.append(text[i : end + 1])
-                i = end + 1
-            elif i < n and text[i].isalnum():
-                out.append("{" + text[i] + "}")
-                notes.append("sqrt-braces")
-                i += 1
-            elif i < n and text[i] == "\\":
-                m = re.match(r"\\[a-zA-Z]+", text[i:])
-                if not m:
-                    raise Unbalanceable("malformed \\sqrt argument")
-                out.append("{" + m.group(0) + "}")
-                notes.append("sqrt-braces")
-                i += len(m.group(0))
-            else:
-                raise Unbalanceable("\\sqrt is missing an argument")
-            continue
-        out.append(text[i])
-        i += 1
+        for _ in range(2 if cmd == "frac" else 1):
+            arg, i = _brace_arg(text, i, cmd, notes)
+            out.append(arg)
+    out.append(text[i:])
     return "".join(out)
 
 
-def canonicalize_latex(
-    raw: str,
-    max_bracket_inserts: int = 3,
-    boilerplate_prefixes=DEFAULT_BOILERPLATE_PREFIXES,
-) -> CleanLatex:
+def canonicalize_latex(raw: str, max_bracket_inserts: int = 3) -> CleanLatex:
     """Normalize a LaTeX answer string. Idempotent on its own output."""
     notes: list = []
     text = raw
@@ -404,7 +324,7 @@ def canonicalize_latex(
         text = text.replace("$", " ")
         notes.append("math-delimiters")
 
-    text, bnotes = _strip_boilerplate(text, boilerplate_prefixes)
+    text, bnotes = _strip_boilerplate(text)
     notes.extend(bnotes)
 
     text = _rewrite_commands(text, notes)
@@ -422,21 +342,25 @@ _DISPLAY_RE = re.compile(r"\$\$(.+?)\$\$|\\\[(.+?)\\\]", re.DOTALL)
 _INLINE_RE = re.compile(r"\$([^$]+)\$")
 
 
+def _last_boxed(text: str):
+    """Content of the last \\boxed group; None if there is none or it is
+    unclosed."""
+    m = None
+    for m in _BOX_RE.finditer(text):
+        pass
+    if m is None:
+        return None
+    end = _match_brace(text, m.end() - 1)
+    return None if end == -1 else text[m.end() : end]
+
+
 def extract_final_answer(text: str) -> str:
     """Pick the answer segment out of a full model response.
 
     Priority: last \\boxed group, last display-math block, last inline math
     segment, last non-empty line.
     """
-    candidate = None
-
-    last = None
-    for m in _BOX_RE.finditer(text):
-        last = m
-    if last is not None:
-        end = _match_brace(text, last.end() - 1)
-        if end != -1:
-            candidate = text[last.end() : end]
+    candidate = _last_boxed(text)
 
     if candidate is None:
         blocks = [(m.end(), m.group(1) or m.group(2)) for m in _DISPLAY_RE.finditer(text)]
@@ -457,17 +381,13 @@ def extract_final_answer(text: str) -> str:
     if candidate is None or not candidate.strip():
         raise EmptyResponse("no answer segment found")
 
-    candidate, _ = _strip_boilerplate(candidate.strip(), DEFAULT_BOILERPLATE_PREFIXES)
+    candidate, _ = _strip_boilerplate(candidate.strip())
     if not candidate.strip():
         raise EmptyResponse("answer segment is empty after label removal")
     # a boxed group nested inside the chosen segment still wins
     if "\\boxed" in candidate:
-        last = None
-        for m in _BOX_RE.finditer(candidate):
-            last = m
-        if last is not None:
-            end = _match_brace(candidate, last.end() - 1)
-            if end != -1:
-                candidate = candidate[last.end() : end]
+        boxed = _last_boxed(candidate)
+        if boxed is not None:
+            candidate = boxed
         candidate = candidate.replace("\\boxed", " ")
     return candidate.strip()

@@ -13,9 +13,9 @@ from importlib import resources
 import pytest
 
 from oracle import brute_distance, evaluate_exact, label_shape, tree_shapes
-from seedgrade.canon import canonicalize, equation_equivalent, equivalent
+from seedgrade.canon import canonicalize, equivalent
 from seedgrade.config import GradeConfig
-from seedgrade.grader import grade
+from seedgrade.grader import grade, grade_equation
 from seedgrade.harness import grade_run, load_dataset, load_responses, spearman
 from seedgrade.nodes import AnswerType, Kind, MathNode, num, pow_, sym
 from seedgrade.parser import parse_expression
@@ -226,7 +226,7 @@ INEQUIVALENT_PAIRS = [
 def _pair_equivalent(a_src, b_src):
     a, b = parse(a_src), parse(b_src)
     if a.kind is Kind.RELATION and b.kind is Kind.RELATION:
-        return equation_equivalent(a, b, CFG)
+        return grade_equation(a, b, CFG).equivalent
     return equivalent(a, b, CFG)
 
 

@@ -54,8 +54,10 @@ class TestTokenize:
         assert [(t.kind, t.value) for t in toks] == [("sym", "Delta_E")]
 
     def test_unknown_command(self):
-        with pytest.raises(UnknownCommand):
-            tokenize(r"\foobar x")
+        # the tokenizer reads ASCII only; normalization maps or drops the rest
+        for src in (r"\foobar x", "x\u00b2", "\u00e9"):
+            with pytest.raises(UnknownCommand):
+                tokenize(src)
 
     def test_decimal_number(self):
         assert tokenize("3.25")[0].value == Fraction("3.25")
