@@ -4,13 +4,22 @@ Canonicalization is purely syntactic: flatten associative operators, fold
 exact rational arithmetic, collect like terms and like bases, and sort
 children under a fixed total order.  Deeper identities (different fraction
 or radical arrangements) are caught by randomized evaluation, so no symbolic
-expansion is ever needed.  A rational tree (numbers, symbols, sums, products,
-integer powers) is evaluated exactly in GF(P), P = 2^61 - 1, at points drawn
-uniformly from the field: a false "equivalent" then has chance at most
-deg/P per trial, where deg bounds the degree of the difference.  Any other
-evaluable tree is evaluated in 30-digit mpmath at random real points.  Each
-canonical tree builds its evaluation plan (a postorder stack program with
-its constants converted once) on first use and keeps it.
+expansion is ever needed.
+
+Every evaluable tree is first evaluated exactly in GF(P), P = 2^61 - 1, at
+points drawn uniformly from the field.  Each function call, constant and
+power with a non-integer exponent is an *atom*: an opaque operand, keyed by
+its canonical subtree, drawn as one more variable (Gonnet's signature
+method, SYMSAC 1986).  Two trees that agree as rational functions of their
+symbols and atoms are equal wherever both are defined, whatever values the
+atoms take; a false "equivalent" has chance at most deg/P per trial, where
+deg bounds the degree of the difference.  A rational tree is a tree with no
+atoms, so a disagreement proves it different.  A disagreement between trees
+with atoms proves nothing (sin^2 x + cos^2 x against 1), so those pairs,
+and trees that GF(P) cannot take, are evaluated in 30-digit mpmath at random
+real points, and the first agreeing point is confirmed at 60 digits.  Each
+canonical tree builds its evaluation plan (two postorder stack programs
+with their constants converted once) on first use and keeps it.
 """
 
 from __future__ import annotations
@@ -383,15 +392,21 @@ def canonical_relation(node: MathNode) -> tuple:
 
 # --- evaluation --------------------------------------------------------------
 
-# The exact path evaluates in the field GF(P).  Two rational functions whose
+# The first path evaluates in the field GF(P).  Two rational functions whose
 # difference has a numerator of total degree d, with integer coefficients not
 # all multiples of P, agree at a uniform random point with chance at most d/P
 # (Schwartz 1980, Zippel 1979).
 P = (1 << 61) - 1
 # A tree whose degree bound reaches this takes the float path: the numerator
-# of a difference of two exact trees then has degree below P - 1, so Fermat's
-# x^(P-1) = 1 cannot make two different functions agree at every point.
+# of a difference of two GF(P) programs then has degree below P - 1, so
+# Fermat's x^(P-1) = 1 cannot make two different functions agree at every
+# point.
 _MAX_DEGREE = (P - 1) // 2
+# The first float sample that passes `eval_rtol` at 30 digits is evaluated
+# again at 60 digits, where the two sides must agree to this relative bound:
+# a true identity agrees to about 60 digits, and a small real offset (such as
+# 10^-11) does not shrink.
+ESCALATED_RTOL = 1e-45
 
 _MP_FUNCS = {
     "sin": mpmath.sin, "cos": mpmath.cos, "tan": mpmath.tan,
@@ -401,10 +416,11 @@ _MP_FUNCS = {
     "factorial": lambda x: mpmath.gamma(x + 1),
 }
 
-# opcodes of a plan's postorder stack program, with their argument:
-#   _NUM a number, _SYM a symbol name, _CONST a constant name, _ADD and _MUL
-#   the operand count, _POWI an integer exponent (the base is on the stack),
-#   _POW none (base and exponent are), _FN (function, operand count)
+# opcodes of a plan's postorder stack programs, with their argument:
+#   _NUM a number, _SYM a symbol name (or, in the GF(P) program, an atom
+#   node), _CONST a constant name, _ADD and _MUL the operand count, _POWI an
+#   integer exponent (the base is on the stack), _POW none (base and exponent
+#   are), _FN (function, operand count)
 _NUM, _SYM, _CONST, _ADD, _MUL, _POWI, _POW, _FN = range(8)
 
 
@@ -419,99 +435,122 @@ def _int_exponent(node: MathNode):
 class Plan:
     """What the equivalence check needs of one canonical tree, from one walk.
 
-    `code` is the tree as a postorder stack program; `symbols` its free
-    symbols; `evaluable` whether every node can be evaluated; `degree` a bound
-    on the total degree of the tree as a ratio of polynomials when GF(P) can
-    evaluate it (numbers, symbols, sums, products and integer powers, no
-    denominator divisible by P, degree below _MAX_DEGREE), else None.
-    The numbers of `code` are converted once per tree for each path.
+    `code` is the tree as a postorder stack program for mpmath. `gf` is the
+    same tree as a program over GF(P) in which each *atom* (a function call,
+    a constant, or a power whose exponent is not an integer) is one `_SYM`
+    operand keyed by the atom node itself; a rational tree has no atoms.
+    `symbols` are the free symbols, `atoms` the atoms that `gf` reads, and
+    `evaluable` says whether every node can be evaluated. `degree` bounds
+    the total degree of `gf` as a ratio of polynomials in its symbols and
+    atoms (an atom counts 1), or is None when GF(P) cannot take the tree: a
+    number outside the atoms has a denominator divisible by P, or the bound
+    reaches _MAX_DEGREE. The numbers of `gf` are converted (n * d^-1 mod P)
+    in the walk; those of `code` once per precision, on first use.
     """
 
-    __slots__ = ("code", "symbols", "evaluable", "degree", "_exact", "_float")
+    __slots__ = ("code", "gf", "symbols", "atoms", "evaluable", "degree", "_float")
 
     def __init__(self, root: MathNode):
         self.code = []
+        self.gf = []
         self.symbols = set()
+        self.atoms = set()
         self.evaluable = True
         self.degree = None
-        self._exact = self._float = None
-        order = []
-        stack = [root]
+        self._float = {}
+        order = []  # preorder
+        in_atom = []  # whether order[i] lies inside an atom
+        stack, flags = [root], [False]
         while stack:
             n = stack.pop()
+            inside = flags.pop()
             order.append(n)
-            if n.kind is Kind.POW and _int_exponent(n) is not None:
-                stack.append(n.children[0])
+            in_atom.append(inside)
+            kids = n.children
+            if not kids:
+                continue
+            k = n.kind
+            if k is Kind.POW and _int_exponent(n) is not None:
+                stack.append(kids[0])
+                flags.append(inside)
             else:
-                stack.extend(n.children)
-        emit = self.code.append
-        degrees = []  # degree bound of each value the program leaves on its stack
+                # any other POW has a non-integer exponent: it is an atom
+                stack.extend(kids)
+                flags.extend([inside or k is Kind.POW or k is Kind.FUNCTION] * len(kids))
+        emit, gf = self.code.append, self.gf.append
+        degrees = []  # degree bound of each value `gf` leaves on its stack
         exact = True
-        for n in reversed(order):
+        for n, inside in zip(reversed(order), reversed(in_atom)):
             k = n.kind
             if k is Kind.NUMBER:
                 emit((_NUM, n.payload))
-                degrees.append(0)
-                exact = exact and n.payload.denominator % P != 0
-            elif k is Kind.SYMBOL:
+                if not inside:
+                    v, q = n.payload.numerator, n.payload.denominator
+                    if q == 1:
+                        gf((_NUM, v % P))
+                    elif q % P:
+                        gf((_NUM, v * pow(q, -1, P) % P))
+                    else:
+                        exact = False
+                    degrees.append(0)
+                continue
+            if k is Kind.SYMBOL:
                 emit((_SYM, n.payload))
-                degrees.append(1)
                 self.symbols.add(n.payload)
-            elif k is Kind.ADD or k is Kind.MUL:
+                if not inside:
+                    gf((_SYM, n.payload))
+                    degrees.append(1)
+                continue
+            if k is Kind.ADD or k is Kind.MUL:
+                op = _ADD if k is Kind.ADD else _MUL
                 arity = len(n.children)
-                emit((_ADD if k is Kind.ADD else _MUL, arity))
-                # a sum or product of ratios n_i/d_i is one ratio of degree <= sum
-                d = sum(degrees[-arity:])
-                del degrees[-arity:]
-                degrees.append(d)
-            elif k is Kind.POW:
+                emit((op, arity))
+                if not inside:
+                    gf((op, arity))
+                    # a sum or product of ratios n_i/d_i is one ratio of degree <= sum
+                    d = sum(degrees[-arity:])
+                    del degrees[-arity:]
+                    degrees.append(d)
+                continue
+            if k is Kind.POW:
                 e = _int_exponent(n)
-                if e is None:
-                    emit((_POW, None))
-                    del degrees[-1]
-                    exact = False
-                else:
+                if e is not None:
                     emit((_POWI, e))
-                    degrees[-1] *= abs(e.numerator)
+                    if not inside:
+                        gf((_POWI, e.numerator))
+                        degrees[-1] *= abs(e.numerator)
+                    continue
+                emit((_POW, None))
             elif k is Kind.CONSTANT:
                 emit((_CONST, n.payload))
-                degrees.append(0)
-                exact = False
             elif k is Kind.FUNCTION and n.payload in _MP_FUNCS:
-                arity = len(n.children)
-                emit((_FN, (_MP_FUNCS[n.payload], arity)))
-                del degrees[-arity:]
-                degrees.append(0)
-                exact = False
+                emit((_FN, (_MP_FUNCS[n.payload], len(n.children))))
             else:
                 self.evaluable = False
                 self.code.clear()
+                self.gf.clear()
                 return
+            if not inside:  # an atom
+                gf((_SYM, n))
+                degrees.append(1)
+                self.atoms.add(n)
         if exact and degrees[0] < _MAX_DEGREE:
             self.degree = degrees[0]
 
-    def exact_code(self) -> list:
-        """`code` with each number n/d as n * d^-1 mod P (needs `degree`)."""
-        if self._exact is None:
-            self._exact = [
-                (op, arg.numerator * pow(arg.denominator, -1, P) % P) if op == _NUM
-                else (op, arg.numerator) if op == _POWI
-                else (op, arg)
-                for op, arg in self.code
-            ]
-        return self._exact
-
-    def float_code(self) -> list:
-        """`code` with numbers, exponents and constants as mpmath values, built
-        at the caller's working precision."""
-        if self._float is None:
-            self._float = [
-                (_NUM, _mp_constant(arg)) if op == _CONST
-                else (op, mpmath.mpf(arg.numerator) / arg.denominator) if op in (_NUM, _POWI)
-                else (op, arg)
-                for op, arg in self.code
-            ]
-        return self._float
+    def float_code(self, dps: int) -> list:
+        """`code` with numbers, exponents and constants as mpmath values at
+        `dps` significant digits, converted once per precision."""
+        fc = self._float.get(dps)
+        if fc is None:
+            with mpmath.workdps(dps):
+                fc = self._float[dps] = [
+                    (_NUM, _mp_constant(arg)) if op == _CONST
+                    else (op, mpmath.mpf(arg.numerator) / arg.denominator)
+                    if op in (_NUM, _POWI)
+                    else (op, arg)
+                    for op, arg in self.code
+                ]
+        return fc
 
 
 def _mp_constant(name: str):
@@ -523,7 +562,7 @@ def _mp_constant(name: str):
 
 
 def evaluate_exact(code: list, env: dict) -> int:
-    """A plan's exact program at one point of GF(P) (symbol -> int in [0, P)).
+    """A plan's GF(P) program at one point (symbol or atom -> int in [0, P)).
 
     Raises ZeroDivisionError at a pole: zero to a negative power.
     """
@@ -591,14 +630,86 @@ def _pair_seed(cfg_seed: int, da: str, db: str) -> int:
     return int.from_bytes(h[:8], "big")
 
 
+def _field_agrees(ga: list, gb: list, keys: list, rng, trials: int):
+    """Whether two GF(P) programs agree at `trials` random points: True, False
+    at the first point where they differ, or None when every sample of a
+    trial hits a pole. Each sample draws `keys` in order."""
+    for _ in range(trials):
+        for _retry in range(MAX_RETRIES):
+            env = {k: rng.randrange(P) for k in keys}
+            try:
+                va = evaluate_exact(ga, env)
+                vb = evaluate_exact(gb, env)
+            except ZeroDivisionError:
+                continue
+            if va != vb:
+                return False
+            break
+        else:
+            return None
+    return True
+
+
+def _evaluate_pair(fa: list, fb: list, env: dict, dps: int):
+    """Two float programs at one point at `dps` digits, or None where either
+    is singular."""
+    try:
+        with mpmath.workdps(dps):
+            va = evaluate_float(fa, env)
+            vb = evaluate_float(fb, env)
+    except (ZeroDivisionError, ValueError, OverflowError):
+        return None
+    if not (mpmath.isfinite(va) and mpmath.isfinite(vb)):
+        # 0 to a negative real power reads as inf, and inf - inf
+        # as nan, which no tolerance test would reject
+        return None
+    return va, vb
+
+
+def _close(va, vb, rtol: float) -> bool:
+    return abs(va - vb) <= rtol * (1 + abs(va) + abs(vb))
+
+
+def _floats_agree(pa: Plan, pb: Plan, symbols: list, rng, cfg: GradeConfig) -> bool:
+    """Whether two plans agree within `eval_rtol` at `cfg.trials` random real
+    points in 30-digit mpmath, the first of them confirmed at 60 digits to
+    ESCALATED_RTOL. Raises Inconclusive when every sample of a trial is
+    singular."""
+    fa, fb = pa.float_code(30), pb.float_code(30)
+    confirmed = False
+    for _ in range(cfg.trials):
+        for _retry in range(MAX_RETRIES):
+            env = {s: mpmath.mpf(rng.uniform(0.3, 2.7)) for s in symbols}
+            values = _evaluate_pair(fa, fb, env, 30)
+            if values is None:
+                continue
+            if not _close(*values, cfg.eval_rtol):
+                return False
+            if not confirmed:
+                values = _evaluate_pair(pa.float_code(60), pb.float_code(60), env, 60)
+                if values is None:
+                    continue
+                if not _close(*values, ESCALATED_RTOL):
+                    return False
+                confirmed = True
+            break
+        else:
+            raise Inconclusive("all evaluation samples hit singularities")
+    return True
+
+
 def equivalent(a, b, cfg: GradeConfig = GradeConfig()) -> bool:
     """Structural canonical equality, else randomized-evaluation agreement.
 
     a and b are MathNodes or CanonicalTrees; only MathNodes are canonicalized.
-    Two rational trees are compared at `cfg.trials` random points of GF(P),
-    anything else evaluable at random real points in 30-digit mpmath.
-    Raises Inconclusive when every sample of a trial hits a singularity;
-    callers fall back to tree distance.
+    Two evaluable trees are first compared at `cfg.trials` random points of
+    GF(P), with each atom drawn as one more variable. Agreement proves them
+    equal wherever both are defined. Disagreement proves two rational trees
+    different; with atoms it proves nothing (sin^2 x + cos^2 x against 1),
+    so such a pair, like a tree that GF(P) cannot take, goes to the float
+    path. Raises Inconclusive when every sample of a trial hits a
+    singularity on the path that decides; callers fall back to tree
+    distance.
     """
     ca = as_canonical(a)
     cb = as_canonical(b)
@@ -609,43 +720,14 @@ def equivalent(a, b, cfg: GradeConfig = GradeConfig()) -> bool:
         return False
 
     symbols = sorted(pa.symbols | pb.symbols)
-    rng = random.Random(_pair_seed(cfg.seed, ca.digest, cb.digest))
-    exact = pa.degree is not None and pb.degree is not None
-    if exact:
-        ea, eb = pa.exact_code(), pb.exact_code()
-    else:
-        with mpmath.workdps(30):
-            fa, fb = pa.float_code(), pb.float_code()
-
-    for _ in range(cfg.trials):
-        for _retry in range(MAX_RETRIES):
-            if exact:
-                env = {s: rng.randrange(P) for s in symbols}
-                try:
-                    va = evaluate_exact(ea, env)
-                    vb = evaluate_exact(eb, env)
-                except ZeroDivisionError:
-                    continue
-                if va != vb:
-                    return False
-                break
-            env = {
-                s: mpmath.mpf(rng.uniform(0.3, 2.7)) for s in symbols
-            }
-            try:
-                with mpmath.workdps(30):
-                    va = evaluate_float(fa, env)
-                    vb = evaluate_float(fb, env)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                continue
-            if not (mpmath.isfinite(va) and mpmath.isfinite(vb)):
-                # 0 to a negative real power reads as inf, and inf - inf
-                # as nan, which no tolerance test would reject
-                continue
-            diff = abs(va - vb)
-            if diff > cfg.eval_rtol * (1 + abs(va) + abs(vb)):
-                return False
-            break
-        else:
-            raise Inconclusive("all evaluation samples hit singularities")
-    return True
+    seed = _pair_seed(cfg.seed, ca.digest, cb.digest)
+    if pa.degree is not None and pb.degree is not None:
+        atoms = sorted(pa.atoms | pb.atoms, key=sort_key)
+        agreed = _field_agrees(pa.gf, pb.gf, symbols + atoms, random.Random(seed), cfg.trials)
+        if agreed:
+            return True
+        if not atoms:
+            if agreed is None:
+                raise Inconclusive("all evaluation samples hit singularities")
+            return False
+    return _floats_agree(pa, pb, symbols, random.Random(seed), cfg)

@@ -389,5 +389,7 @@ def extract_final_answer(text: str) -> str:
         boxed = _last_boxed(candidate)
         if boxed is not None:
             candidate = boxed
-        candidate = candidate.replace("\\boxed", " ")
+        candidate = candidate.replace("\\boxed", " ").strip()
+        if not candidate:
+            raise EmptyResponse("no answer segment found")
     return candidate.strip()

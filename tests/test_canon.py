@@ -3,15 +3,17 @@ from fractions import Fraction
 import pytest
 
 from oracle import evaluate_exact
+from seedgrade import canon as canon_mod
 from seedgrade.canon import (
+    P,
     canonicalize,
     equivalent,
     standardize_relation,
 )
 from seedgrade.config import GradeConfig
 from seedgrade.errors import Inconclusive, NotARelation
-from seedgrade.grader import grade_equation
-from seedgrade.nodes import add, mul, num, pow_, relation, sym
+from seedgrade.grader import grade, grade_equation
+from seedgrade.nodes import AnswerType, add, mul, num, pow_, relation, sym
 from seedgrade.parser import parse_expression
 from seedgrade.preprocess import canonicalize_latex
 
@@ -143,3 +145,65 @@ class TestEquivalent:
         assert equivalent(
             relation("=", x, y), relation("=", x, y), self.CFG
         )
+
+
+@pytest.fixture
+def float_calls(monkeypatch):
+    """Counts the float path's evaluations."""
+    calls = []
+    original = canon_mod.evaluate_float
+
+    def counted(code, env):
+        calls.append(1)
+        return original(code, env)
+
+    monkeypatch.setattr(canon_mod, "evaluate_float", counted)
+    return calls
+
+
+class TestAtoms:
+    """Functions, constants and non-integer powers as opaque GF(P) operands."""
+
+    CFG = GradeConfig()
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            (r"\frac{a\sin x+b\sin x}{\sin x}", "a+b"),
+            (r"\sqrt{x}\cdot\frac{y}{y}", r"\sqrt{x}"),
+            (r"\frac{\sqrt{x}y+\sqrt{x}}{y+1}", r"\sqrt{x}"),
+            (r"\frac{e^{x}\pi - \pi}{\pi}", r"e^{x} - 1"),
+        ],
+    )
+    def test_proven_without_floats(self, monkeypatch, a, b):
+        def refuse(code, env):
+            raise AssertionError("float path reached")
+
+        monkeypatch.setattr(canon_mod, "evaluate_float", refuse)
+        assert equivalent(parse(a), parse(b), self.CFG)
+
+    @pytest.mark.parametrize(
+        "a,b", [(r"\sin^2x+\cos^2x", "1"), (r"i\cdot i", "-1"), (r"\sin(\pi-x)", r"\sin x")]
+    )
+    def test_atom_disagreement_falls_back_to_floats(self, float_calls, a, b):
+        assert equivalent(parse(a), parse(b), self.CFG)
+        assert float_calls
+
+    def test_atom_poles_fall_back_to_floats(self, float_calls):
+        # the denominator is 0 at every point of GF(P), with or without atoms
+        a = parse(r"\frac{\sin x}{(x+1)^2 - x^2 - 2x - 1}")
+        try:
+            equivalent(a, parse(r"\sin x"), self.CFG)
+        except Inconclusive:
+            pass
+        assert float_calls
+
+    def test_rational_disagreement_is_final(self, float_calls):
+        assert not equivalent(parse("x^2 + 1"), parse("x^2"), self.CFG)
+        assert not float_calls
+
+    def test_atoms_count_toward_degree_guard(self):
+        # over GF(P), a^P = a for every atom value a, so both sides would
+        # agree at every point if the atom path took them
+        r = grade(rf"\boxed{{(\sin x+1)^{{{P}}}}}", rf"\sin^{{{P}}}x+1", AnswerType.EXPRESSION)
+        assert r.score < 100 and not r.equivalent

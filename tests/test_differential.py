@@ -1,18 +1,32 @@
-"""`equivalent` against sympy on random rational trees over x, y and z.
+"""`equivalent` against sympy on random trees over x, y and z.
 
 Each example draws a tree and builds two partners: an equal one by a rewrite
 that canonicalization does not undo, and one random edit away.  On every
-pair that is not inconclusive, `equivalent` must agree with
+rational pair that is not inconclusive, `equivalent` must agree with
 `sympy.cancel(a - b) == 0`.
+
+Trees with random subtrees wrapped in sin or exp are checked one way each,
+since `sympy.cancel` treats a function application as one more generator: a
+zero it finds is an identity that `equivalent` must accept, and a nonzero
+difference after an edit must be rejected.  The GF(P) path proves what it
+accepts, so it may never accept such an edit.  The float path compares
+values within a tolerance, so an edit it accepts must be one whose sides
+agree within `eval_rtol` at a point of its sample box, checked at 100
+digits (exp(-4096/27) against exp(-3328/27) is such a pair: both round to
+nothing next to the tolerance's absolute floor).
 """
+
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seedgrade import canon
 from seedgrade.canon import equivalent
+from seedgrade.config import GradeConfig
 from seedgrade.errors import Inconclusive
-from seedgrade.nodes import Kind, MathNode, add, mul, num, pow_, sym
+from seedgrade.nodes import Kind, MathNode, add, func, mul, num, pow_, sym
 from test_properties import trees
 
 sympy = pytest.importorskip("sympy")
@@ -25,6 +39,8 @@ def to_sympy(t: MathNode):
     if k is Kind.SYMBOL:
         return sympy.Symbol(t.payload)
     kids = [to_sympy(c) for c in t.children]
+    if k is Kind.FUNCTION:
+        return getattr(sympy, t.payload)(*kids)
     if k is Kind.ADD:
         return sympy.Add(*kids)
     if k is Kind.MUL:
@@ -76,15 +92,40 @@ def edit(t: MathNode, rnd) -> MathNode:
     return _replace(t, path, sym({"x": "y", "y": "z", "z": "x"}[leaf.payload]))
 
 
-def agrees(a: MathNode, b: MathNode) -> bool:
+def _outside_exponents(t: MathNode, path=()):
+    yield path, t
+    for i, c in enumerate(t.children):
+        if not (t.kind is Kind.POW and i == 1):
+            yield from _outside_exponents(c, path + (i,))
+
+
+def wrap(t: MathNode, rnd) -> MathNode:
+    """t with one or two random subtrees (the root too) wrapped in sin or exp.
+    Exponents stay integers: a power such as ((x-1)(-x^2))^{sin 1} has no
+    real value where its base is negative, and sympy and the float path then
+    read it on different complex branches."""
+    for _ in range(rnd.randint(1, 2)):
+        path, n = rnd.choice(list(_outside_exponents(t)))
+        t = _replace(t, path, func(rnd.choice(("sin", "exp")), n))
+    return t
+
+
+def verdicts(a: MathNode, b: MathNode):
+    """(`equivalent`, whether sympy cancels a - b to 0), each None when
+    undecided: inconclusive, or sympy reads part of it as undefined."""
     try:
         verdict = equivalent(a, b)
     except Inconclusive:
-        return True
+        verdict = None
     sa, sb = to_sympy(a), to_sympy(b)
     if sa.has(sympy.zoo, sympy.nan) or sb.has(sympy.zoo, sympy.nan):
-        return True  # sympy reads part of it as undefined: no value to compare
-    return verdict == (sympy.cancel(sa - sb) == 0)
+        return verdict, None
+    return verdict, sympy.cancel(sa - sb) == 0
+
+
+def agrees(a: MathNode, b: MathNode) -> bool:
+    verdict, zero = verdicts(a, b)
+    return verdict is None or zero is None or verdict == zero
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,3 +133,42 @@ def agrees(a: MathNode, b: MathNode) -> bool:
 def test_equivalent_agrees_with_sympy(t, rnd):
     assert agrees(t, rewrite(t, rnd))
     assert agrees(t, edit(t, rnd))
+
+
+@contextmanager
+def float_calls():
+    """Counts the float path's evaluations while it is open."""
+    calls = []
+    original = canon.evaluate_float
+
+    def counted(code, env):
+        calls.append(1)
+        return original(code, env)
+
+    canon.evaluate_float = counted
+    try:
+        yield calls
+    finally:
+        canon.evaluate_float = original
+
+
+def within_float_tolerance(a: MathNode, b: MathNode, rnd) -> bool:
+    """Whether a and b agree within `eval_rtol` at a random point of the
+    float path's sample box, evaluated by sympy at 100 digits."""
+    sa, sb = to_sympy(a), to_sympy(b)
+    point = {s: sympy.Rational(rnd.randint(30, 270), 100) for s in sa.free_symbols | sb.free_symbols}
+    va, vb = sa.evalf(100, subs=point), sb.evalf(100, subs=point)
+    return abs(va - vb) <= GradeConfig().eval_rtol * (1 + abs(va) + abs(vb))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees, st.randoms(use_true_random=False))
+def test_equivalent_agrees_with_sympy_through_functions(t, rnd):
+    t = wrap(t, rnd)
+    verdict, zero = verdicts(t, rewrite(t, rnd))
+    assert verdict is not False or zero is not True
+    other = edit(t, rnd)
+    with float_calls() as floats:
+        verdict, zero = verdicts(t, other)
+    if verdict is True and zero is False:
+        assert floats and within_float_tolerance(t, other, rnd)

@@ -163,12 +163,8 @@ class TestEquivalenceSoundness:
         assert r.score < 100 and not r.equivalent
         assert not any(d.startswith("internal-error") for d in r.diagnostics)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the float path accepts a relative difference below eval_rtol; it waits "
-        "for a precision escalation on close calls",
-    )
     def test_float_path_small_offset(self):
+        # passes eval_rtol at 30 digits; the 60-digit confirmation rejects it
         assert score(r"\boxed{\sin(x) + 10^{-11}}", r"\sin(x)", "expression").score < 100
 
 

@@ -172,3 +172,12 @@ class TestExtract:
             extract_final_answer("   \n  ")
         with pytest.raises(EmptyResponse):
             extract_final_answer(r"$$ \boxed{} x $$")
+
+    def test_empty_nested_boxed_raises(self):
+        # the last \boxed is unclosed, so the display segment wins, and its
+        # own \boxed group is empty
+        with pytest.raises(EmptyResponse, match="no answer segment found"):
+            extract_final_answer(r"$$\boxed{}$$ then \boxed{")
+        r = grade(r"$$\boxed{}$$ then \boxed{", "x", AnswerType.EXPRESSION)
+        assert r.score == 0.0
+        assert r.diagnostics == [r"EmptyResponse: no answer segment found"]
