@@ -40,6 +40,8 @@ from .nodes import (
     MathNode,
     num,
     relation,
+    set_canon,
+    set_key,
 )
 
 ZERO = num(0)
@@ -87,7 +89,7 @@ def sort_key(node: MathNode):
         len(node.children),
         tuple(sort_key(c) for c in node.children),
     )
-    object.__setattr__(node, "_key", k)
+    set_key(node, k)
     return k
 
 
@@ -118,7 +120,7 @@ def _has_zero_pole(node: MathNode) -> bool:
 
 
 def _with_coeff(coeff: Fraction, base: MathNode) -> MathNode:
-    if base == ONE:
+    if base.kind is Kind.NUMBER and base.payload == 1:
         return num(coeff)
     if coeff == 0 and not _has_zero_pole(base):
         return ZERO
@@ -142,17 +144,14 @@ def canon_add(terms) -> MathNode:
     buckets: dict = {}
     for t in flat:
         coeff, base = _split_term(t)
-        if base == ONE:
+        if base.kind is Kind.NUMBER and base.payload == 1:
             constant += coeff
             continue
-        key = sort_key(base)
-        entry = buckets.get(key)
-        if entry is None:
-            buckets[key] = [coeff, base]
-        else:
-            entry[0] += coeff
+        # keyed by the node: its hash is cached, a sort key's tuple hash is not
+        c = buckets.get(base)
+        buckets[base] = coeff if c is None else c + coeff
     out = []
-    for coeff, base in buckets.values():
+    for base, coeff in buckets.items():
         if coeff == 0 and not _has_zero_pole(base):
             continue
         out.append(_with_coeff(coeff, base))
@@ -202,11 +201,12 @@ def _rational_pow(base: Fraction, exp: Fraction):
 
 
 def canon_pow(base: MathNode, exp: MathNode) -> MathNode:
-    if exp == ZERO:
-        return ONE
-    if exp == ONE:
-        return base
-    if base == ONE:
+    if exp.kind is Kind.NUMBER:
+        if exp.payload == 0:
+            return ONE
+        if exp.payload == 1:
+            return base
+    if base.kind is Kind.NUMBER and base.payload == 1:
         return ONE
     if base.kind is Kind.NUMBER and exp.kind is Kind.NUMBER:
         # 0^e folds to 0 only for e > 0: zero to a negative power is undefined
@@ -238,7 +238,6 @@ def canon_mul(factors) -> MathNode:
             flat.append(f)
     coeff = _F1
     buckets: dict = {}
-    order = []
     out = []
     for f in flat:
         if f.kind is Kind.NUMBER:
@@ -250,22 +249,19 @@ def canon_mul(factors) -> MathNode:
             # sum can cancel a pole (0^x * 0^-x), so each is kept apart
             out.append(f)
             continue
-        key = sort_key(base)
-        entry = buckets.get(key)
-        if entry is None:
-            buckets[key] = [base, [exp]]
-            order.append(key)
+        exps = buckets.get(base)
+        if exps is None:
+            buckets[base] = [exp]
         else:
-            entry[1].append(exp)
-    for key in order:
-        base, exps = buckets[key]
+            exps.append(exp)
+    for base, exps in buckets.items():
         if len(exps) == 1:
             exp_node = exps[0]
         elif all(e.kind is Kind.NUMBER for e in exps):
             exp_node = num(sum(e.payload for e in exps))
         else:
             exp_node = canon_add(exps)
-        if exp_node == ZERO:
+        if exp_node.kind is Kind.NUMBER and exp_node.payload == 0:
             continue
         if base.kind is Kind.NUMBER and exp_node.kind is Kind.NUMBER:
             folded = _rational_pow(base.payload, exp_node.payload)
@@ -303,10 +299,14 @@ def _rewrite(node: MathNode) -> MathNode:
     return MathNode(k, node.payload, tuple(kids))
 
 
-def canonicalize(node: MathNode) -> CanonicalTree:
-    root = _rewrite(node)
+def _canonical_tree(root: MathNode) -> CanonicalTree:
+    """Wrap a tree that is already canonical (a fixed point of _rewrite)."""
     digest = hashlib.sha1(repr(root).encode()).hexdigest()
     return CanonicalTree(root=root, size=root.size(), digest=digest)
+
+
+def canonicalize(node: MathNode) -> CanonicalTree:
+    return _canonical_tree(_rewrite(node))
 
 
 def as_canonical(tree) -> CanonicalTree:
@@ -317,7 +317,7 @@ def as_canonical(tree) -> CanonicalTree:
     c = tree._canon
     if not isinstance(c, CanonicalTree):
         c = canonicalize(tree)
-        object.__setattr__(tree, "_canon", c)
+        set_canon(tree, c)
     return c
 
 
@@ -385,8 +385,9 @@ def canonical_relation(node: MathNode) -> tuple:
     c = node._canon
     if not isinstance(c, tuple):
         s = standardize_relation(node)
-        c = (s.payload, canonicalize(s.children[0]))
-        object.__setattr__(node, "_canon", c)
+        # built by the canonical constructors, so rewriting it again is a no-op
+        c = (s.payload, _canonical_tree(s.children[0]))
+        set_canon(node, c)
     return c
 
 
@@ -403,10 +404,12 @@ P = (1 << 61) - 1
 # point.
 _MAX_DEGREE = (P - 1) // 2
 # The first float sample that passes `eval_rtol` at 30 digits is evaluated
-# again at 60 digits, where the two sides must agree to this relative bound:
-# a true identity agrees to about 60 digits, and a small real offset (such as
-# 10^-11) does not shrink.
+# again at 60 digits (see _confirms). The rounding error of a true identity
+# falls by about 10^-30 with the 30 extra digits; a real difference, such as
+# an offset of 10^-11 or two sides that differ but are both tiny, keeps its
+# size.
 ESCALATED_RTOL = 1e-45
+ESCALATED_SHRINK = 1e-15
 
 _MP_FUNCS = {
     "sin": mpmath.sin, "cos": mpmath.cos, "tan": mpmath.tan,
@@ -670,10 +673,23 @@ def _close(va, vb, rtol: float) -> bool:
     return abs(va - vb) <= rtol * (1 + abs(va) + abs(vb))
 
 
+def _confirms(d30, va, vb) -> bool:
+    """Whether 60-digit values va and vb confirm a sample whose 30-digit
+    difference was d30: their difference is 0 or below ESCALATED_RTOL of
+    |va| + |vb|, or it shrank by ESCALATED_SHRINK from d30. The absolute floor
+    of _close applies only where d30 is exactly 0, so that no shrink can be
+    seen (sin^2 x + cos^2 x - 1 against 0 at some points); two tiny sides
+    that differ keep their difference at both precisions."""
+    d60 = abs(va - vb)
+    if d60 <= ESCALATED_RTOL * (abs(va) + abs(vb)) or d60 <= ESCALATED_SHRINK * d30:
+        return True
+    return d30 == 0 and _close(va, vb, ESCALATED_RTOL)
+
+
 def _floats_agree(pa: Plan, pb: Plan, symbols: list, rng, cfg: GradeConfig) -> bool:
     """Whether two plans agree within `eval_rtol` at `cfg.trials` random real
-    points in 30-digit mpmath, the first of them confirmed at 60 digits to
-    ESCALATED_RTOL. Raises Inconclusive when every sample of a trial is
+    points in 30-digit mpmath, the first of them confirmed at 60 digits
+    (_confirms). Raises Inconclusive when every sample of a trial is
     singular."""
     fa, fb = pa.float_code(30), pb.float_code(30)
     confirmed = False
@@ -686,10 +702,11 @@ def _floats_agree(pa: Plan, pb: Plan, symbols: list, rng, cfg: GradeConfig) -> b
             if not _close(*values, cfg.eval_rtol):
                 return False
             if not confirmed:
+                d30 = abs(values[0] - values[1])
                 values = _evaluate_pair(pa.float_code(60), pb.float_code(60), env, 60)
                 if values is None:
                     continue
-                if not _close(*values, ESCALATED_RTOL):
+                if not _confirms(d30, *values):
                     return False
                 confirmed = True
             break

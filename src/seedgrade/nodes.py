@@ -39,8 +39,28 @@ KIND_RANK = {
 CONSTANT_NAMES = ("pi", "e", "i")
 
 
-class MathNode:
+class _NodeSlots:
+    """The storage of MathNode. Its constructor and caches write these slots
+    through their descriptors, which MathNode's __setattr__ guard does not
+    see, at about half the cost of object.__setattr__."""
+
+    __slots__ = ("kind", "payload", "children", "_hash", "_key", "_canon")
+
+
+_set_kind = _NodeSlots.kind.__set__
+_set_payload = _NodeSlots.payload.__set__
+_set_children = _NodeSlots.children.__set__
+_set_hash = _NodeSlots._hash.__set__
+# canon fills these two caches, once per node
+set_key = _NodeSlots._key.__set__
+set_canon = _NodeSlots._canon.__set__
+
+
+class MathNode(_NodeSlots):
     """Immutable tagged tree node.
+
+    Nodes are shared (the ground-truth memo, the sort-key and canonical-form
+    caches), so assigning any attribute raises AttributeError.
 
     payload depends on kind:
       NUMBER    -> Fraction (exact, nonzero denominator)
@@ -53,16 +73,16 @@ class MathNode:
       others    -> None
     """
 
-    __slots__ = ("kind", "payload", "children", "_hash", "_key", "_canon")
+    __slots__ = ()
 
     def __init__(self, kind: Kind, payload=None, children: tuple = ()):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_key", None)  # canon.sort_key, filled on first use
+        _set_kind(self, kind)
+        _set_payload(self, payload)
+        _set_children(self, children if children.__class__ is tuple else tuple(children))
+        _set_hash(self, None)
+        set_key(self, None)  # canon.sort_key, filled on first use
         # canon.as_canonical (or canon.canonical_relation), filled on first use
-        object.__setattr__(self, "_canon", None)
+        set_canon(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MathNode is immutable")
@@ -70,8 +90,11 @@ class MathNode:
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, MathNode):
+        if other.__class__ is not MathNode:
             return NotImplemented
+        h, ho = self._hash, other._hash
+        if h is not None and ho is not None and h != ho:
+            return False
         return (
             self.kind is other.kind
             and self.payload == other.payload
@@ -82,7 +105,7 @@ class MathNode:
         h = self._hash
         if h is None:
             h = hash((self.kind, self.payload, self.children))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):

@@ -75,15 +75,18 @@ _FIXED_TOKENS = {
     "&": ("amp", None), "=": ("relop", "="), "<": ("relop", "<"), ">": ("relop", ">"),
 }
 
-# One alternative per token class, tried at each position.  It reads ASCII
-# only, which is what canonicalize_latex emits; [\t-\r\x1c-\x20] is the ASCII
-# whitespace of str.isspace.
+# The spaces before a token (group 1), then one alternative per token class,
+# tried in order (an environment before a command); the last takes any other
+# character, which is an error.  It reads ASCII only, which is what
+# canonicalize_latex emits; [\t-\r\x1c-\x20] is the ASCII whitespace of
+# str.isspace.  A number's lastgroup is "frac" when it has a fractional part.
 _TOKEN_RE = re.compile(
-    r"(?P<space> +)"
-    r"|\\(?P<env>begin|end)[\t-\r\x1c-\x20]*\{(?P<env_name>[A-Za-z*]+)\}"
+    r"( *)"
+    r"(?:\\(?P<env>begin|end)[\t-\r\x1c-\x20]*\{(?P<env_name>[A-Za-z*]+)\}"
     r"|(?P<fixed>\\[A-Za-z]+|\\\\|[-+*/^_!'()\[\]{},&=<>])"
-    r"|(?P<num>[0-9]+(?:\.[0-9]+)?)"
     r"|(?P<letter>[A-Za-z])"
+    r"|(?P<int>[0-9]+)(?:\.(?P<frac>[0-9]+))?"
+    r"|(?P<other>(?s:.)))"
 )
 
 
@@ -95,25 +98,34 @@ def tokenize(src) -> list:
     """
     text = src.text if isinstance(src, CleanLatex) else src
     raw: list = []
+    append = raw.append
+    match = _TOKEN_RE.match
+    # trailing spaces are cut off, so every match ends in a token
+    end = len(text.rstrip(" "))
     i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise UnknownCommand(text[i : i + 2] if text[i] == "\\" else text[i], i)
+    while i < end:
+        m = match(text, i, end)
         group = m.lastgroup
+        pos = m.end(1)
+        i = m.end()
         if group == "fixed":
             fixed = _FIXED_TOKENS.get(m.group(group))
             if fixed is None:
-                raise UnknownCommand(m.group(group), i)
-            raw.append(Token(*fixed, i))
-        elif group == "num":
-            raw.append(Token("num", Fraction(m.group(group)), i))
+                raise UnknownCommand(m.group(group), pos)
+            append(Token(*fixed, pos))
         elif group == "letter":
             ch = m.group(group)
-            raw.append(Token("const" if ch in "ei" else "sym", ch, i))
+            append(Token("const" if ch in "ei" else "sym", ch, pos))
+        elif group == "int":
+            append(Token("num", Fraction(int(m.group(group))), pos))
+        elif group == "frac":
+            whole, frac = m.group("int", group)
+            scale = 10 ** len(frac)
+            append(Token("num", Fraction(int(whole) * scale + int(frac), scale), pos))
         elif group == "env_name":
-            raw.append(Token(m.group("env"), m.group(group), i))
-        i = m.end()
+            append(Token(m.group("env"), m.group(group), pos))
+        else:
+            raise UnknownCommand(text[pos : pos + 2] if text[pos] == "\\" else text[pos], pos)
 
     glued = _glue_subscripts(raw)
     return _insert_implicit_mul(glued)
@@ -187,22 +199,16 @@ _DIFFERENTIAL = sym("d")
 
 
 class _Parser:
+    """Recursive descent over a token list that ends in an `eof` sentinel, so
+    the current token is always `self.tokens[self.pos]`."""
+
     def __init__(self, tokens: list):
-        self.tokens = tokens
+        self.tokens = tokens + [Token("eof")]
         self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token | None:
-        t = self.peek()
-        if t is not None:
-            self.pos += 1
-        return t
-
     def expect(self, kind: str) -> Token:
-        t = self.peek()
-        if t is None or t.kind != kind:
+        t = self.tokens[self.pos]
+        if t.kind != kind:
             raise ParseError(self.pos, kind)
         self.pos += 1
         return t
@@ -210,38 +216,39 @@ class _Parser:
     # relation := additive (relop additive)?
     def relation(self) -> MathNode:
         lhs = self.additive()
-        t = self.peek()
-        if t is not None and t.kind == "relop":
-            self.next()
+        t = self.tokens[self.pos]
+        if t.kind == "relop":
+            self.pos += 1
             rhs = self.additive()
-            t2 = self.peek()
-            if t2 is not None and t2.kind == "relop":
+            if self.tokens[self.pos].kind == "relop":
                 raise ParseError(self.pos, "at most one relation operator")
             return relation(t.value, lhs, rhs)
         return lhs
 
     def additive(self) -> MathNode:
         terms = [self.multive()]
+        tokens = self.tokens
         while True:
-            t = self.peek()
-            if t is None or t.kind not in ("plus", "minus"):
+            kind = tokens[self.pos].kind
+            if kind != "plus" and kind != "minus":
                 break
-            self.next()
+            self.pos += 1
             term = self.multive()
-            terms.append(neg(term) if t.kind == "minus" else term)
+            terms.append(neg(term) if kind == "minus" else term)
         if len(terms) == 1:
             return terms[0]
         return MathNode(Kind.ADD, None, tuple(terms))
 
     def multive(self) -> MathNode:
         factors = [self.unary()]
+        tokens = self.tokens
         while True:
-            t = self.peek()
-            if t is None or t.kind not in ("star", "slash", "imul"):
+            kind = tokens[self.pos].kind
+            if kind != "star" and kind != "slash" and kind != "imul":
                 break
-            self.next()
+            self.pos += 1
             f = self.unary()
-            if t.kind == "slash":
+            if kind == "slash":
                 f = pow_(f, num(-1))
             factors.append(f)
         if len(factors) == 1:
@@ -249,63 +256,58 @@ class _Parser:
         return MathNode(Kind.MUL, None, tuple(factors))
 
     def unary(self) -> MathNode:
-        t = self.peek()
-        if t is not None and t.kind == "minus":
-            self.next()
+        kind = self.tokens[self.pos].kind
+        if kind == "minus":
+            self.pos += 1
             return neg(self.unary())
-        if t is not None and t.kind == "plus":
-            self.next()
+        if kind == "plus":
+            self.pos += 1
             return self.unary()
         return self.power()
 
     def power(self) -> MathNode:
         base = self.postfix()
-        t = self.peek()
-        if t is not None and t.kind == "caret":
-            self.next()
+        if self.tokens[self.pos].kind == "caret":
+            self.pos += 1
             return pow_(base, self.exponent())
         return base
 
     def exponent(self) -> MathNode:
         """Exponent operand: brace group, signed atom, or parenthesized expr."""
-        t = self.peek()
-        if t is None:
-            raise ParseError(self.pos, "exponent")
+        t = self.tokens[self.pos]
         if t.kind == "lbrace":
-            self.next()
+            self.pos += 1
             e = self.additive()
             self.expect("rbrace")
         elif t.kind == "minus":
-            self.next()
-            e = neg(self.exponent())
-            return e
+            self.pos += 1
+            return neg(self.exponent())
         elif t.kind in ("num", "sym", "const"):
-            self.next()
+            self.pos += 1
             e = _leaf(t)
         elif t.kind == "lparen":
-            self.next()
+            self.pos += 1
             e = self.additive()
             self.expect("rparen")
         else:
             raise ParseError(self.pos, "exponent")
-        t = self.peek()
-        if t is not None and t.kind == "caret":
-            self.next()
+        if self.tokens[self.pos].kind == "caret":
+            self.pos += 1
             e = pow_(e, self.exponent())
         return e
 
     def postfix(self) -> MathNode:
         node = self.atom()
+        tokens = self.tokens
         while True:
-            t = self.peek()
-            if t is not None and t.kind == "bang":
-                self.next()
+            kind = tokens[self.pos].kind
+            if kind == "bang":
                 node = func("factorial", node)
-            elif t is not None and t.kind == "prime":
-                self.next()
+            elif kind == "prime":
                 node = func("prime", node)
             else:
                 return node
+            self.pos += 1
 
     def brace_group(self) -> MathNode:
         self.expect("lbrace")
@@ -314,33 +316,31 @@ class _Parser:
         return node
 
     def atom(self) -> MathNode:
-        t = self.peek()
-        if t is None:
-            raise ParseError(self.pos, "operand")
-        if t.kind in ("num", "sym", "const"):
-            self.next()
+        t = self.tokens[self.pos]
+        kind = t.kind
+        if kind in ("num", "sym", "const"):
+            self.pos += 1
             return _leaf(t)
-        if t.kind == "lparen":
-            self.next()
+        if kind == "lparen":
+            self.pos += 1
             node = self.additive()
             self.expect("rparen")
             return node
-        if t.kind == "lbrack":
-            self.next()
+        if kind == "lbrack":
+            self.pos += 1
             node = self.additive()
             self.expect("rbrack")
             return node
-        if t.kind == "lbrace":
+        if kind == "lbrace":
             return self.brace_group()
-        if t.kind == "frac":
-            self.next()
+        if kind == "frac":
+            self.pos += 1
             return self.frac_tail()
-        if t.kind == "sqrt":
-            self.next()
+        if kind == "sqrt":
+            self.pos += 1
             index = None
-            t2 = self.peek()
-            if t2 is not None and t2.kind == "lbrack":
-                self.next()
+            if self.tokens[self.pos].kind == "lbrack":
+                self.pos += 1
                 index = self.additive()
                 self.expect("rbrack")
             arg = self.brace_group()
@@ -349,11 +349,11 @@ class _Parser:
             if index.kind is Kind.NUMBER and index.payload != 0:
                 return pow_(arg, num(Fraction(1, 1) / index.payload))
             return pow_(arg, pow_(index, num(-1)))
-        if t.kind == "func":
-            self.next()
+        if kind == "func":
+            self.pos += 1
             return self.function_tail(t.value)
-        if t.kind == "begin":
-            self.next()
+        if kind == "begin":
+            self.pos += 1
             return self.matrix_tail(t.value)
         raise ParseError(self.pos, "operand")
 
@@ -364,9 +364,8 @@ class _Parser:
         if deriv is not None:
             expr, var = deriv
             if expr is None:
-                t = self.peek()
-                if t is not None and t.kind == "imul":
-                    self.next()
+                if self.tokens[self.pos].kind == "imul":
+                    self.pos += 1
                 expr = self.unary()
             return MathNode(Kind.DERIVATIVE, None, (expr, sym(var)))
         return mul(a, pow_(b, num(-1)))
@@ -395,20 +394,20 @@ class _Parser:
 
     def function_tail(self, name: str) -> MathNode:
         exp = None
-        t = self.peek()
-        if t is not None and t.kind == "caret":
-            self.next()
+        tokens = self.tokens
+        if tokens[self.pos].kind == "caret":
+            self.pos += 1
             exp = self.exponent()
-        t = self.peek()
-        if t is not None and t.kind == "imul":
+        kind = tokens[self.pos].kind
+        if kind == "imul":
             # adjacency after \sin^2 etc. is application, not multiplication
-            self.next()
-            t = self.peek()
-        if t is not None and t.kind == "lparen":
-            self.next()
+            self.pos += 1
+            kind = tokens[self.pos].kind
+        if kind == "lparen":
+            self.pos += 1
             arg = self.additive()
             self.expect("rparen")
-        elif t is not None and t.kind == "lbrace":
+        elif kind == "lbrace":
             arg = self.brace_group()
         else:
             arg = self.power()
@@ -423,20 +422,20 @@ class _Parser:
         rows = [[]]
         while True:
             rows[-1].append(self.additive())
-            t = self.peek()
-            if t is None:
+            t = self.tokens[self.pos]
+            if t.kind == "eof":
                 raise ParseError(self.pos, f"\\end{{{env}}}")
             if t.kind == "amp":
-                self.next()
+                self.pos += 1
                 continue
             if t.kind == "rowsep":
-                self.next()
+                self.pos += 1
                 rows.append([])
                 continue
             if t.kind == "end":
                 if t.value != env:
                     raise ParseError(self.pos, f"\\end{{{env}}}")
-                self.next()
+                self.pos += 1
                 break
             raise ParseError(self.pos, "'&', row separator, or \\end")
         if rows and not rows[-1]:
@@ -464,7 +463,7 @@ def parse_expression(tokens) -> MathNode:
         tokens = tokenize(tokens)
     p = _Parser(tokens)
     node = p.relation()
-    if p.peek() is not None:
+    if p.tokens[p.pos].kind != "eof":
         raise ParseError(p.pos, "end of input")
     return node
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracle import evaluate_exact
+from test_acceptance import EQUIVALENT_PAIRS, INEQUIVALENT_PAIRS
 from seedgrade import canon as canon_mod
 from seedgrade.canon import (
     P,
@@ -13,7 +14,7 @@ from seedgrade.canon import (
 from seedgrade.config import GradeConfig
 from seedgrade.errors import Inconclusive, NotARelation
 from seedgrade.grader import grade, grade_equation
-from seedgrade.nodes import AnswerType, add, mul, num, pow_, relation, sym
+from seedgrade.nodes import AnswerType, Kind, add, mul, num, pow_, relation, sym
 from seedgrade.parser import parse_expression
 from seedgrade.preprocess import canonicalize_latex
 
@@ -26,6 +27,28 @@ def parse(s):
 
 def canon(node):
     return canonicalize(node).root
+
+
+class TestNodes:
+    @pytest.mark.parametrize("field", ["kind", "payload", "children", "_hash", "_key", "_canon"])
+    def test_every_field_is_immutable(self, field):
+        node = add(x, y)
+        with pytest.raises(AttributeError):
+            setattr(node, field, None)
+
+    def test_caches_fill(self):
+        node = add(x, mul(num(2), y))
+        assert node._hash is None and node._key is None and node._canon is None
+        h = hash(node)
+        assert node._hash == h
+        assert canon_mod.sort_key(node) is node._key is not None
+        assert canon_mod.as_canonical(node) is node._canon is canon_mod.as_canonical(node)
+
+    def test_equal_nodes_with_cached_hashes(self):
+        a, b = add(x, mul(num(2), y)), add(x, mul(num(2), y))
+        assert hash(a) == hash(b) and a == b
+        assert hash(add(x, y)) != hash(add(x, z)) and add(x, y) != add(x, z)
+        assert add(x, y) != "x + y"
 
 
 class TestRewrites:
@@ -86,6 +109,16 @@ class TestStandardizeRelation:
     def test_non_relation_rejected(self):
         with pytest.raises(NotARelation):
             standardize_relation(x)
+
+    def test_side_is_a_rewrite_fixed_point(self):
+        # canonical_relation wraps the side without rewriting it again
+        relations = [parse(src) for pair in EQUIVALENT_PAIRS + INEQUIVALENT_PAIRS for src in pair]
+        relations = [r for r in relations if r.kind is Kind.RELATION]
+        assert len(relations) >= 10
+        for r in relations:
+            side = standardize_relation(r).children[0]
+            assert repr(canon_mod._rewrite(side)) == repr(side)
+            assert canon_mod.canonical_relation(r)[1] == canonicalize(side)
 
 
 class TestEvaluate:

@@ -1,4 +1,3 @@
-import sys
 import time
 
 import pytest
@@ -167,6 +166,22 @@ class TestEquivalenceSoundness:
         # passes eval_rtol at 30 digits; the 60-digit confirmation rejects it
         assert score(r"\boxed{\sin(x) + 10^{-11}}", r"\sin(x)", "expression").score < 100
 
+    def test_float_path_tiny_values(self):
+        # both sides are about 1e-52 wherever they are sampled and differ by
+        # as much as they measure: an absolute floor must not hide that
+        assert score(r"\boxed{e^{x-6e^{3}}}", r"e^{y-6e^{3}}", "expression").score < 100
+
+    @pytest.mark.parametrize("pred, gt", [
+        (r"\sin^2x+\cos^2x-1", "0"),
+        # its first sample agrees exactly at 30 digits and differs by 1e-61
+        # at 60, where both values are rounding error
+        (r"\sin^2a+\cos^2a-1", "0"),
+        (r"\sin(\pi-x)", r"\sin x"),
+        (r"e^{x-6e^3}e^{y}", r"e^{x+y-6e^3}"),
+    ])
+    def test_float_path_identities_confirmed(self, pred, gt):
+        assert score(rf"\boxed{{{pred}}}", gt, "expression").score == 100
+
 
 class TestTuple:
     def test_positional_mean(self):
@@ -270,17 +285,16 @@ class TestConfig:
 
 @pytest.fixture
 def canon_calls(monkeypatch):
-    """Count canon.canonicalize calls made from anywhere in seedgrade."""
+    """Count the canonical trees built anywhere in seedgrade: canonicalize
+    and canonical_relation both build theirs through canon._canonical_tree."""
     calls = []
-    original = canon.canonicalize
+    original = canon._canonical_tree
 
-    def counted(node):
-        calls.append(node)
-        return original(node)
+    def counted(root):
+        calls.append(root)
+        return original(root)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("seedgrade") and getattr(module, "canonicalize", None) is original:
-            monkeypatch.setattr(module, "canonicalize", counted)
+    monkeypatch.setattr(canon, "_canonical_tree", counted)
     return calls
 
 

@@ -62,6 +62,37 @@ class TestTokenize:
     def test_decimal_number(self):
         assert tokenize("3.25")[0].value == Fraction("3.25")
 
+    @pytest.mark.parametrize("src, value", [("1.50", Fraction(3, 2)), ("007", Fraction(7))])
+    def test_literal_values(self, src, value):
+        (tok,) = tokenize(src)
+        assert tok.value == value and type(tok.value) is Fraction
+
+    def test_positions_after_space_runs(self):
+        toks = tokenize("x  +   y")
+        assert [(t.kind, t.pos) for t in toks] == [("sym", 0), ("plus", 3), ("sym", 7)]
+        assert [(t.kind, t.pos) for t in tokenize("   2 x")] == [
+            ("num", 3), ("imul", 5), ("sym", 5)]
+
+    def test_environment_name_after_space(self):
+        toks = tokenize(r"  \begin {pmatrix} 1 \end  {pmatrix}")
+        assert [(t.kind, t.value, t.pos) for t in toks] == [
+            ("begin", "pmatrix", 2), ("num", Fraction(1), 19), ("end", "pmatrix", 21)]
+
+    def test_trailing_spaces(self):
+        assert [(t.kind, t.pos) for t in tokenize("x   ")] == [("sym", 0)]
+        assert tokenize("   ") == []
+
+    @pytest.mark.parametrize("src, name, pos", [
+        ("x   ?", "?", 4),
+        ("  \t", "\t", 2),
+        ("x  \\,", "\\,", 3),
+        ("x \\", "\\", 2),
+    ])
+    def test_unknown_character_after_spaces(self, src, name, pos):
+        with pytest.raises(UnknownCommand) as exc:
+            tokenize(src)
+        assert (exc.value.name, exc.value.position) == (name, pos)
+
 
 class TestParse:
     def test_precedence(self):
@@ -123,6 +154,18 @@ class TestParse:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ParseError):
             parse("x + ")
+
+    @pytest.mark.parametrize("src, position, expectation", [
+        ("x +", 2, "operand"),
+        ("x^", 2, "exponent"),
+        ("(x", 2, "rparen"),
+        ("x )", 1, "end of input"),
+        (r"\begin{pmatrix} 1", 2, r"\end{pmatrix}"),
+    ])
+    def test_error_at_end_of_input(self, src, position, expectation):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(src)
+        assert (exc.value.position, exc.value.expectation) == (position, expectation)
 
 
 class TestParseAnswer:

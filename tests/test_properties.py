@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import evaluate_exact
-from seedgrade.canon import canonicalize
-from seedgrade.nodes import Kind, MathNode, num, pow_, sym
+from seedgrade.canon import _rewrite, canonical_relation, canonicalize, standardize_relation
+from seedgrade.nodes import Kind, MathNode, num, pow_, relation, sym
 from seedgrade.parser import parse_expression, serialize
 from seedgrade.preprocess import canonicalize_latex
 from seedgrade.ted import tree_edit_distance
@@ -51,6 +51,14 @@ envs = st.fixed_dictionaries(
 def test_canonicalize_idempotent(t):
     once = canonicalize(t).root
     assert canonicalize(once).root == once
+
+
+@given(trees, trees, st.sampled_from(["=", "<", "<=", ">", ">="]))
+def test_standardized_relation_side_is_a_rewrite_fixed_point(lhs, rhs, op):
+    r = relation(op, lhs, rhs)
+    side = standardize_relation(r).children[0]
+    assert repr(_rewrite(side)) == repr(side)
+    assert canonical_relation(r)[1] == canonicalize(side)
 
 
 @given(trees, envs)
