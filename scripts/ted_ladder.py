@@ -15,10 +15,13 @@ ms, the distance, and the DP it took: "s<w>" for a strip of w diagonals,
 The second table prints, for new polynomial trees of the same sizes, the
 µs per tree that `tokenize` and `parse_expression` (on the tokens) take on
 the tree rendered as LaTeX, how many trees per second `canonicalize`
-handles, and the ms per pair of `equivalent` on an equal pair that
-canonicalization does not make identical (the tree times
-(s^2 - 1) / ((s + 1)(s - 1)) against the tree), so every trial runs: on the
-exact GF(p) path, and on the float path with sin(x_0) added to both sides.
+handles, the same for a copy one random edit away canonicalized through the
+tree's subtree table (a fresh copy of the table each time, as a prediction
+is canonicalized against its ground truth's), and the ms per pair of
+`equivalent` on an equal pair that canonicalization does not make
+identical (the tree times (s^2 - 1) / ((s + 1)(s - 1)) against the tree),
+so every trial runs: on the exact GF(p) path, and on the float path with
+sin(x_0) added to both sides.
 Each pair is timed on fresh canonical trees, so the cost of building their
 evaluation plans is included.
 """
@@ -106,7 +109,7 @@ def _equiv_ms(a: MathNode, b: MathNode, cfg: GradeConfig, repeat: int) -> float:
 
 def equivalence_table(rng, sizes, repeat: int, cfg: GradeConfig) -> None:
     print(f"{'nodes':>5} {'tokenize':>12} {'parse':>12} {'canonicalize':>16} "
-          f"{'exact equiv':>14} {'float equiv':>14}")
+          f"{'1 edit, table':>16} {'exact equiv':>14} {'float equiv':>14}")
     for size in sizes:
         gt = polynomial(rng, size)
         text = serialize(gt)
@@ -119,10 +122,15 @@ def equivalence_table(rng, sizes, repeat: int, cfg: GradeConfig) -> None:
         pred = mul(gt, unit)
         wave = func("sin", sym(NAMES[0]))
         per_s = 1 / _best(lambda: canonicalize(gt), repeat)
+        # its own generator, so that the trees drawn from rng stay the same
+        variant = edit(random.Random(size), gt)
+        table: dict = {}
+        canonicalize(gt, table)
+        shared_per_s = 1 / _best(lambda: canonicalize(variant, dict(table)), repeat)
         exact = _equiv_ms(pred, gt, cfg, repeat)
         flt = _equiv_ms(add(pred, wave), add(gt, wave), cfg, repeat)
         print(f"{gt.size():>5} {tok_us:>9.0f} us {parse_us:>9.0f} us {per_s:>10.0f} tree/s "
-              f"{exact:>11.2f} ms {flt:>11.2f} ms")
+              f"{shared_per_s:>10.0f} tree/s {exact:>11.2f} ms {flt:>11.2f} ms")
 
 
 def main() -> int:

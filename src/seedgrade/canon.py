@@ -19,7 +19,13 @@ with atoms proves nothing (sin^2 x + cos^2 x against 1), so those pairs,
 and trees that GF(P) cannot take, are evaluated in 30-digit mpmath at random
 real points, and the first agreeing point is confirmed at 60 digits.  Each
 canonical tree builds its evaluation plan (two postorder stack programs
-with their constants converted once) on first use and keeps it.
+with their constants converted once), its size and its digest on first use
+and keeps them.
+
+Canonicalization goes through a subtree table, a dict from raw subtrees to
+their canonical forms (see _rewrite). A ground truth keeps its table as long
+as it is parsed; a prediction reads a copy, so a subtree that it shares
+with the ground truth is rewritten once per ground truth.
 """
 
 from __future__ import annotations
@@ -56,10 +62,31 @@ MAX_RETRIES = 5
 
 @dataclass(frozen=True)
 class CanonicalTree:
+    """A canonical tree. Its size, digest and evaluation plan are each
+    computed on first read and kept with the tree: grading reads the size of
+    ground truths only, and the digest only of pairs that are not
+    structurally equal."""
+
     root: MathNode
-    size: int
-    digest: str
+    _size: "int | None" = field(default=None, init=False, repr=False, compare=False)
+    _digest: "str | None" = field(default=None, init=False, repr=False, compare=False)
     _plan: "Plan | None" = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def size(self) -> int:
+        s = self._size
+        if s is None:
+            s = self.root.size()
+            object.__setattr__(self, "_size", s)
+        return s
+
+    @property
+    def digest(self) -> str:
+        d = self._digest
+        if d is None:
+            d = hashlib.sha1(repr(self.root).encode()).hexdigest()
+            object.__setattr__(self, "_digest", d)
+        return d
 
     def plan(self) -> "Plan":
         """The evaluation plan, built on first use and kept with the tree."""
@@ -285,38 +312,52 @@ def canon_mul(factors) -> MathNode:
     return MathNode(Kind.MUL, None, tuple(out))
 
 
-def _rewrite(node: MathNode) -> MathNode:
-    k = node.kind
+def _rewrite(node: MathNode, table: "dict | None" = None) -> MathNode:
+    """The canonical form of node. `table` maps raw subtrees to their
+    canonical forms; it is read and filled at every internal node, so a
+    subtree equal to one already in it is not rewritten again (the result
+    depends only on the subtree's structure, and nodes compare and hash by
+    structure). Leaves are their own canonical forms and are not stored.
+    Without a table, one is made for this call."""
     if not node.children:
         return node
-    kids = [_rewrite(c) for c in node.children]
+    if table is None:
+        table = {}
+    c = table.get(node)
+    if c is not None:
+        return c
+    kids = [_rewrite(c, table) for c in node.children]
+    k = node.kind
     if k is Kind.ADD:
-        return canon_add(kids)
-    if k is Kind.MUL:
-        return canon_mul(kids)
-    if k is Kind.POW:
-        return canon_pow(kids[0], kids[1])
-    return MathNode(k, node.payload, tuple(kids))
+        c = canon_add(kids)
+    elif k is Kind.MUL:
+        c = canon_mul(kids)
+    elif k is Kind.POW:
+        c = canon_pow(kids[0], kids[1])
+    else:
+        c = MathNode(k, node.payload, tuple(kids))
+    table[node] = c
+    return c
 
 
 def _canonical_tree(root: MathNode) -> CanonicalTree:
     """Wrap a tree that is already canonical (a fixed point of _rewrite)."""
-    digest = hashlib.sha1(repr(root).encode()).hexdigest()
-    return CanonicalTree(root=root, size=root.size(), digest=digest)
+    return CanonicalTree(root)
 
 
-def canonicalize(node: MathNode) -> CanonicalTree:
-    return _canonical_tree(_rewrite(node))
+def canonicalize(node: MathNode, table: "dict | None" = None) -> CanonicalTree:
+    return _canonical_tree(_rewrite(node, table))
 
 
-def as_canonical(tree) -> CanonicalTree:
+def as_canonical(tree, table: "dict | None" = None) -> CanonicalTree:
     """The tree itself if already canonical, else its canonical form, which
-    is computed once per node and kept on it."""
+    is computed once per node (through `table`, see _rewrite) and kept on
+    it."""
     if isinstance(tree, CanonicalTree):
         return tree
     c = tree._canon
     if not isinstance(c, CanonicalTree):
-        c = canonicalize(tree)
+        c = canonicalize(tree, table)
         set_canon(tree, c)
     return c
 
@@ -358,12 +399,13 @@ def _scale_tree(tree: MathNode, s: Fraction) -> MathNode:
     return _with_coeff(coeff * s, base)
 
 
-def standardize_relation(node: MathNode) -> MathNode:
-    """Rewrite `lhs # rhs` as `f # 0` with a positive, gcd-reduced leading term."""
+def standardize_relation(node: MathNode, table: "dict | None" = None) -> MathNode:
+    """Rewrite `lhs # rhs` as `f # 0` with a positive, gcd-reduced leading
+    term; the sides are canonicalized through `table` (see _rewrite)."""
     if node.kind is not Kind.RELATION:
         raise NotARelation(f"expected a relation, got {node.kind.name}")
-    lhs = _rewrite(node.children[0])
-    rhs = _rewrite(node.children[1])
+    lhs = _rewrite(node.children[0], table)
+    rhs = _rewrite(node.children[1], table)
     diff = canon_add([lhs, canon_mul([num(-1), rhs])])
     op = node.payload
     if diff == ZERO:
@@ -379,12 +421,12 @@ def standardize_relation(node: MathNode) -> MathNode:
     return relation(op, diff, ZERO)
 
 
-def canonical_relation(node: MathNode) -> tuple:
+def canonical_relation(node: MathNode, table: "dict | None" = None) -> tuple:
     """(operator, canonical f) of the relation standardized as `f # 0`,
-    computed once per node and kept on it."""
+    computed once per node (through `table`, see _rewrite) and kept on it."""
     c = node._canon
     if not isinstance(c, tuple):
-        s = standardize_relation(node)
+        s = standardize_relation(node, table)
         # built by the canonical constructors, so rewriting it again is a no-op
         c = (s.payload, _canonical_tree(s.children[0]))
         set_canon(node, c)

@@ -52,13 +52,19 @@ def _parse_prediction(pred_raw: str, declared: AnswerType, cfg: GradeConfig):
     return None, diagnostics
 
 
-def grade_equation(pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+def grade_equation(
+    pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig(), table: "dict | None" = None
+) -> GradeResult:
     """Score on the standardized `f # 0` forms: equivalent sides under the same
-    relation score full credit, anything else is graded on the sides."""
+    relation score full credit, anything else is graded on the sides. gt is
+    standardized first, through `table` (as in seed_score), and pred through
+    a copy of it."""
     if pred.kind is not Kind.RELATION:
         return GradeResult.zero(["TypeMismatch: prediction is not an equation"])
-    op_p, cp = canonical_relation(pred)
-    op_g, cg = canonical_relation(gt)
+    if table is None:
+        table = {}
+    op_g, cg = canonical_relation(gt, table)
+    op_p, cp = canonical_relation(pred, dict(table))
     result = seed_score(cp, cg, cfg)
     if op_p == op_g and result.equivalent:
         return GradeResult.full(cfg, ["equation-equivalent"])
@@ -74,7 +80,7 @@ def grade_equation(pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig(
     return result
 
 
-def _grade_parts(pred_parts: list, gt_parts: list, cfg: GradeConfig) -> GradeResult:
+def _grade_parts(pred_parts: list, gt_parts: list, cfg: GradeConfig, table: dict) -> GradeResult:
     n = max(len(pred_parts), len(gt_parts))
     scores = []
     scripts = []
@@ -86,7 +92,7 @@ def _grade_parts(pred_parts: list, gt_parts: list, cfg: GradeConfig) -> GradeRes
             scores.append(0.0)
             diagnostics.append(f"component {i}: missing")
             continue
-        r = seed_score(pred_parts[i], gt_parts[i], cfg)
+        r = seed_score(pred_parts[i], gt_parts[i], cfg, table)
         scores.append(r.score)
         scripts.extend(r.edit_script)
         total_distance += float(r.distance)
@@ -112,8 +118,8 @@ def grade_interval(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeC
     gnode = gt.parts[0]
     if pnode.kind is not Kind.INTERVAL:
         return GradeResult.zero(["TypeMismatch: prediction is not an interval"])
-    lo = seed_score(pnode.children[0], gnode.children[0], cfg)
-    hi = seed_score(pnode.children[1], gnode.children[1], cfg)
+    lo = seed_score(pnode.children[0], gnode.children[0], cfg, gt.subtrees)
+    hi = seed_score(pnode.children[1], gnode.children[1], cfg, gt.subtrees)
     mismatched = sum(
         1 for a, b in zip(pnode.payload, gnode.payload) if a != b
     )
@@ -159,16 +165,18 @@ def grade_numeric(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeCo
 
 
 def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+    """Grade a parsed prediction; the ground truth's trees are canonicalized
+    through its subtree table `gt.subtrees`, which the prediction reads."""
     t = gt.answer_type
     if t is AnswerType.EXPRESSION:
         if pred.answer_type is AnswerType.EXPRESSION:
-            return seed_score(pred.parts[0], gt.parts[0], cfg)
+            return seed_score(pred.parts[0], gt.parts[0], cfg, gt.subtrees)
         return GradeResult.zero(["TypeMismatch: expected an expression"])
     if t is AnswerType.EQUATION:
-        return grade_equation(pred.parts[0], gt.parts[0], cfg)
+        return grade_equation(pred.parts[0], gt.parts[0], cfg, gt.subtrees)
     if t is AnswerType.TUPLE:
         # a lone expression is graded as a 1-part tuple (positional)
-        return _grade_parts(list(pred.parts), list(gt.parts), cfg)
+        return _grade_parts(list(pred.parts), list(gt.parts), cfg, gt.subtrees)
     if t is AnswerType.INTERVAL:
         if pred.answer_type is not AnswerType.INTERVAL:
             return GradeResult.zero(["TypeMismatch: expected an interval"])
@@ -203,8 +211,9 @@ def grade_prediction(pred_raw: str, gt: TypedAnswer, cfg: GradeConfig = GradeCon
 def _prepared_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig) -> TypedAnswer:
     """The parsed ground truth, kept for `grade` across calls. Its canonical
     trees and evaluation plans are filled on first use and kept on its nodes,
-    so a hit skips every ground-truth stage. An invalid ground truth raises
-    and is not kept. 1024 entries hold a whole CMPhysBench run."""
+    and its subtree table on it, so a hit skips every ground-truth stage. An
+    invalid ground truth raises and is not kept. 1024 entries hold a whole
+    CMPhysBench run."""
     return parse_ground_truth(gt_raw, declared, cfg)
 
 
@@ -220,5 +229,11 @@ def grade(
     (gt_raw, declared, cfg) keys, so a reward function or a loop over many
     models that grades the same ground truth again pays only for the
     prediction. `grade_run` parses each item once itself and does not use it.
+    With each ground truth the memo keeps its canonical trees and its
+    subtree table, which maps each of the ground truth's own raw subtrees to
+    its canonical form: a prediction reads it, so a subtree it shares with
+    the ground truth is not canonicalized again, and writes its own entries
+    to a copy that ends with the call. A canonical tree's size and digest
+    are computed only when read.
     """
     return grade_prediction(pred_raw, _prepared_ground_truth(gt_raw, declared, cfg), cfg)

@@ -198,14 +198,21 @@ class AnswerType(Enum):
 
 
 class TypedAnswer:
-    """An answer tagged with one of the five grading types."""
+    """An answer tagged with one of the five grading types.
 
-    __slots__ = ("answer_type", "parts", "quantity")
+    `subtrees` maps each raw subtree of the parts to its canonical form. It
+    is filled when the answer is graded against as a ground truth, lives as
+    long as the answer, and is read by every prediction graded against it
+    (see canon._rewrite).
+    """
+
+    __slots__ = ("answer_type", "parts", "quantity", "subtrees")
 
     def __init__(self, answer_type: AnswerType, parts: tuple, quantity=None):
         self.answer_type = answer_type
         self.parts = tuple(parts)
         self.quantity = quantity
+        self.subtrees: dict = {}
         if answer_type is AnswerType.TUPLE and len(self.parts) < 2:
             raise ValueError("tuple answers need at least two parts")
 

@@ -91,23 +91,24 @@ class _Annotated:
     whose leftmost path holds it."""
 
     def __init__(self, root: MathNode, ids: dict):
-        self.nodes: list = []
-        self.lml: list = []
-        self.paths: list = []
-
-        def rec(n: MathNode, path: tuple) -> int:
-            first = None
-            for idx, c in enumerate(n.children):
-                child_lml = rec(c, path + (idx,))
-                if first is None:
-                    first = child_lml
-            i = len(self.nodes)
-            self.nodes.append(n)
-            self.paths.append(path)
-            self.lml.append(first if first is not None else i)
-            return self.lml[i]
-
-        rec(root, ())
+        self.nodes = nodes = []
+        self.lml = lml = []
+        self.paths = paths = []
+        # (node, path, None) on the way down; (node, path, start) once its
+        # children are queued, where start is the postorder index of its
+        # first descendant, its leftmost leaf
+        stack = [(root, (), None)]
+        while stack:
+            n, path, start = stack.pop()
+            kids = n.children
+            if start is None and kids:
+                stack.append((n, path, len(nodes)))
+                for idx in range(len(kids) - 1, -1, -1):
+                    stack.append((kids[idx], path + (idx,), None))
+                continue
+            lml.append(len(nodes) if start is None else start)
+            nodes.append(n)
+            paths.append(path)
         self.kinds = [n.kind for n in self.nodes]
         self.ids = [ids.setdefault((n.kind, n.label()), len(ids)) for n in self.nodes]
         last_per_lml: dict = {}
@@ -380,7 +381,9 @@ def _solve(A: _Annotated, B: _Annotated, cfg: GradeConfig):
     return -m, n, td, fd
 
 
-def _backtrace(A, B, x, y, td, cfg, lo, hi, out, fd=None):
+def _backtrace(A, B, x, y, td, cfg, lo, hi, out, matches, fd=None):
+    """Append to `out`, last first, the edit ops of an optimal script for
+    the subtree pair (x, y); "match" ops only when `matches` is set."""
     if fd is None:
         fd = _forest_table(A, B, x, y, td, cfg, _columns(B, y, cfg), lo, hi, x)
     lx, ly = A.lml[x], B.lml[y]
@@ -392,22 +395,23 @@ def _backtrace(A, B, x, y, td, cfg, lo, hi, out, fd=None):
             if aligned:
                 rl = _relabel(A, B, p, q, cfg)
                 if fd[di][dj] == fd[di - 1][dj - 1] + rl:
-                    out.append(
-                        EditOp(
-                            "match" if rl == 0 else "relabel",
-                            A.paths[p],
-                            A.nodes[p].label(),
-                            B.nodes[q].label(),
-                            target_path=B.paths[q],
+                    if rl or matches:
+                        out.append(
+                            EditOp(
+                                "relabel" if rl else "match",
+                                A.paths[p],
+                                A.nodes[p].label(),
+                                B.nodes[q].label(),
+                                target_path=B.paths[q],
+                            )
                         )
-                    )
                     p -= 1
                     q -= 1
                     continue
             else:
                 jump_i, jump_j = A.lml[p] - lx, B.lml[q] - ly
                 if fd[di][dj] == fd[jump_i][jump_j] + td[p][q]:
-                    _backtrace(A, B, p, q, td, cfg, lo, hi, out)
+                    _backtrace(A, B, p, q, td, cfg, lo, hi, out, matches)
                     p = A.lml[p] - 1
                     q = B.lml[q] - 1
                     continue
@@ -434,10 +438,8 @@ def tree_edit_distance(a, b, cfg: GradeConfig = GradeConfig(), include_matches: 
     ops: list = []
     # (n-1, m-1) is the last keyroot pair, so fd is the root table, or None
     # when b is a single node and the root pair took a leaf path
-    _backtrace(A, B, n - 1, m - 1, td, cfg, lo, hi, ops, fd)
+    _backtrace(A, B, n - 1, m - 1, td, cfg, lo, hi, ops, include_matches, fd)
     ops.reverse()
-    if not include_matches:
-        ops = [o for o in ops if o.op != "match"]
     return distance, ops
 
 
@@ -495,16 +497,21 @@ def distance_to_score(distance, gt_size: int, cfg: GradeConfig = GradeConfig()) 
     return min(cfg.max_score, max(0.0, score))
 
 
-def seed_score(pred, gt, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+def seed_score(pred, gt, cfg: GradeConfig = GradeConfig(), table: "dict | None" = None) -> GradeResult:
     """Full credit on semantic equivalence, else edit-distance partial credit.
 
     pred and gt are MathNodes or CanonicalTrees; each is canonicalized at
     most once, and the canonical trees feed both the equivalence check and
-    the edit distance.
+    the edit distance. gt is canonicalized first, through `table`, the
+    ground truth's subtree table (see canon._rewrite); pred reads a copy of
+    it, so a subtree it shares with gt is not rewritten again, and the table
+    keeps only gt's subtrees.
     """
     diagnostics: list = []
-    cp = as_canonical(pred)
-    cg = as_canonical(gt)
+    if table is None:
+        table = {}
+    cg = as_canonical(gt, table)
+    cp = as_canonical(pred, dict(table))
     try:
         if equivalent(cp, cg, cfg):
             return GradeResult.full(cfg, diagnostics)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,16 @@ class TestNodes:
         assert hash(a) == hash(b) and a == b
         assert hash(add(x, y)) != hash(add(x, z)) and add(x, y) != add(x, z)
         assert add(x, y) != "x + y"
+
+
+class TestCanonicalTree:
+    def test_digest_and_size_on_first_read(self):
+        node = add(x, mul(num(2), pow_(y, num(3))))
+        tree = canonicalize(node)
+        assert tree._digest is None and tree._size is None
+        assert tree.digest == hashlib.sha1(repr(tree.root).encode()).hexdigest()
+        assert tree.size == tree.root.size() == 7
+        assert tree.digest is tree._digest and tree.size is tree._size
 
 
 class TestRewrites:

@@ -384,3 +384,50 @@ class TestGroundTruthMemo:
         ]
         grade_run(items, [("q1", "m", r"\boxed{2x}"), ("q2", "m", r"\boxed{(1, 3)}")])
         assert grader._prepared_ground_truth.cache_info().currsize == 0
+
+
+def _canonical_nodes(node):
+    stack, out = [node], []
+    while stack:
+        n = stack.pop()
+        out.append(n)
+        stack.extend(n.children)
+    return out
+
+
+class TestSubtreeTable:
+    """Each parsed ground truth keeps a table of its raw subtrees' canonical
+    forms (`TypedAnswer.subtrees`); predictions read it and never write to
+    it."""
+
+    @pytest.mark.parametrize(
+        "gt, t, preds",
+        [
+            (r"\sin(x^2 + 1) + 2y", "expression",
+             [rf"\boxed{{\sin(x^2 + 1) + {k} y + z^{k}}}" for k in range(20)]),
+            (r"E = \frac{m c^2}{2}", "equation",
+             [rf"\boxed{{E = \frac{{m c^{k}}}{{2}} + \cos(k)}}" for k in range(20)]),
+            ("(a + b, c d)", "tuple",
+             [rf"\boxed{{(a + {k} b, c d (e + {k}))}}" for k in range(20)]),
+        ],
+    )
+    def test_kept_table_holds_the_ground_truth_only(self, gt, t, preds):
+        score(preds[0], gt, t)
+        kept = grader._prepared_ground_truth(gt, AnswerType(t), CFG).subtrees
+        cold = len(kept)
+        assert cold > 0
+        for pred in preds[1:] + [preds[0]]:
+            score(pred, gt, t)
+        assert len(kept) == cold
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_shared_subtree_is_one_node(self, warm):
+        gt_text = r"\sin(x^2 + 1) + y"
+        gt = grader._prepared_ground_truth(gt_text, AnswerType.EXPRESSION, CFG)
+        if warm:
+            score(r"\boxed{y}", gt_text, "expression")
+        pred, _ = grader._parse_prediction(r"\boxed{2y + \sin(x^2 + 1)}", AnswerType.EXPRESSION, CFG)
+        assert grader.grade_parsed(pred, gt, CFG).score < 100
+        (sin_gt,) = [n for n in _canonical_nodes(gt.parts[0]._canon.root) if n.payload == "sin"]
+        (sin_pred,) = [n for n in _canonical_nodes(pred.parts[0]._canon.root) if n.payload == "sin"]
+        assert sin_pred is sin_gt

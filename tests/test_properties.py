@@ -61,6 +61,32 @@ def test_standardized_relation_side_is_a_rewrite_fixed_point(lhs, rhs, op):
     assert canonical_relation(r)[1] == canonicalize(side)
 
 
+def _copy(node):
+    """A structurally equal tree made of new nodes."""
+    return MathNode(node.kind, node.payload, tuple(_copy(c) for c in node.children))
+
+
+def _subtrees(node):
+    out = [node]
+    for c in node.children:
+        out += _subtrees(c)
+    return out
+
+
+@given(trees, trees, st.data())
+def test_rewrite_through_a_filled_table(t, other, data):
+    """_rewrite through a table filled by another tree gives the canonical
+    form it gives without one, whether the tree shares subtrees with t or not."""
+    expected = repr(_rewrite(t))
+    unrelated: dict = {}
+    _rewrite(other, unrelated)
+    assert repr(_rewrite(_copy(t), unrelated)) == expected
+    shared = data.draw(st.sampled_from(_subtrees(t)))
+    sharing: dict = {}
+    _rewrite(MathNode(Kind.MUL, None, (other, _copy(shared))), sharing)
+    assert repr(_rewrite(_copy(t), sharing)) == expected
+
+
 @given(trees, envs)
 def test_canonicalization_preserves_value(t, env):
     try:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -346,3 +348,46 @@ class TestSeedScore:
         size = canonicalize(gt).size
         assert 0 < r.score < 100
         assert r.relative_distance == pytest.approx(r.distance / size)
+
+
+class TestAnnotated:
+    def test_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            annotated = ted._Annotated(_chain(20), {})
+            ref = weakref.ref(annotated)
+            del annotated
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_deep_chain(self):
+        annotated = ted._Annotated(_chain(5000), {})
+        assert len(annotated) == 5001
+        assert annotated.lml == [0] * 5001
+        assert annotated.paths[0] == (0,) * 5000 and annotated.paths[-1] == ()
+
+    def test_postorder_arrays(self):
+        t = add(mul(num(2), x), pow_(y, num(3)), x)
+        a = ted._Annotated(t, {})
+        assert [n.label() for n in a.nodes] == ["2", "x", "*", "y", "3", "^", "x", "+"]
+        assert a.lml == [0, 1, 0, 3, 4, 3, 6, 0]
+        assert a.paths == [(0, 0), (0, 1), (0,), (1, 0), (1, 1), (1,), (2,), ()]
+        assert a.keyroots == [1, 4, 5, 6, 7]
+
+
+def test_match_ops_built_only_when_asked(monkeypatch):
+    built = []
+    original = ted.EditOp
+
+    def counted(*args, **kwargs):
+        op = original(*args, **kwargs)
+        built.append(op)
+        return op
+
+    monkeypatch.setattr(ted, "EditOp", counted)
+    a, b = add(mul(num(2), x), y, sym("z")), add(mul(num(3), x), y)
+    d, ops = tree_edit_distance(a, b)
+    assert sorted(o.op for o in built) == sorted(o.op for o in ops) == ["delete", "relabel"]
+    built.clear()
+    assert len(tree_edit_distance(a, b, include_matches=True)[1]) == len(built) == 6
