@@ -13,15 +13,14 @@ ms, the distance, and the DP it took: "s<w>" for a strip of w diagonals,
 "full" for the full table.
 
 The second table prints, for new polynomial trees of the same sizes, the
-µs per tree that `tokenize` and `parse_expression` (on the tokens) take on
-the tree rendered as LaTeX, how many trees per second `canonicalize`
-handles, the same for a copy one random edit away canonicalized through the
-tree's subtree table (a fresh copy of the table each time, as a prediction
-is canonicalized against its ground truth's), and the ms per pair of
-`equivalent` on an equal pair that canonicalization does not make
-identical (the tree times (s^2 - 1) / ((s + 1)(s - 1)) against the tree),
-so every trial runs: on the exact GF(p) path, and on the float path with
-sin(x_0) added to both sides.
+µs per tree that `parse_expression` takes on the tree rendered as LaTeX,
+how many trees per second `canonicalize` handles, the same for a copy one
+random edit away canonicalized through the tree's subtree table (a fresh
+copy of the table each time, as a prediction is canonicalized against its
+ground truth's), and the ms per pair of `equivalent` on an equal pair that
+canonicalization does not make identical (the tree times
+(s^2 - 1) / ((s + 1)(s - 1)) against the tree), so every trial runs: on the
+exact GF(p) path, and on the float path with sin(x_0) added to both sides.
 Each pair is timed on fresh canonical trees, so the cost of building their
 evaluation plans is included.
 """
@@ -37,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from seedgrade.canon import canonicalize, equivalent  # noqa: E402
 from seedgrade.config import GradeConfig  # noqa: E402
 from seedgrade.nodes import MathNode, add, func, mul, num, pow_, sym  # noqa: E402
-from seedgrade.parser import parse_expression, serialize, tokenize  # noqa: E402
+from seedgrade.parser import parse_expression, serialize  # noqa: E402
 from seedgrade.ted import _Annotated, _solve, tree_edit_distance  # noqa: E402
 
 EDITS = (0, 1, 3, 10)
@@ -108,14 +107,12 @@ def _equiv_ms(a: MathNode, b: MathNode, cfg: GradeConfig, repeat: int) -> float:
 
 
 def equivalence_table(rng, sizes, repeat: int, cfg: GradeConfig) -> None:
-    print(f"{'nodes':>5} {'tokenize':>12} {'parse':>12} {'canonicalize':>16} "
+    print(f"{'nodes':>5} {'parse':>12} {'canonicalize':>16} "
           f"{'1 edit, table':>16} {'exact equiv':>14} {'float equiv':>14}")
     for size in sizes:
         gt = polynomial(rng, size)
         text = serialize(gt)
-        tokens = tokenize(text)
-        tok_us = _best(lambda: tokenize(text), repeat) * 1e6
-        parse_us = _best(lambda: parse_expression(tokens), repeat) * 1e6
+        parse_us = _best(lambda: parse_expression(text), repeat) * 1e6
         s = sym(rng.choice(NAMES))
         unit = mul(add(pow_(s, num(2)), num(-1)),
                    pow_(mul(add(s, num(1)), add(s, num(-1))), num(-1)))
@@ -129,7 +126,7 @@ def equivalence_table(rng, sizes, repeat: int, cfg: GradeConfig) -> None:
         shared_per_s = 1 / _best(lambda: canonicalize(variant, dict(table)), repeat)
         exact = _equiv_ms(pred, gt, cfg, repeat)
         flt = _equiv_ms(add(pred, wave), add(gt, wave), cfg, repeat)
-        print(f"{gt.size():>5} {tok_us:>9.0f} us {parse_us:>9.0f} us {per_s:>10.0f} tree/s "
+        print(f"{gt.size():>5} {parse_us:>9.0f} us {per_s:>10.0f} tree/s "
               f"{shared_per_s:>10.0f} tree/s {exact:>11.2f} ms {flt:>11.2f} ms")
 
 

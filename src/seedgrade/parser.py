@@ -48,18 +48,6 @@ _OPERAND_ENDERS = {"num", "sym", "const", "rparen", "rbrack", "rbrace", "bang", 
 _OPERAND_STARTERS = {"num", "sym", "const", "lparen", "frac", "sqrt", "func", "begin"}
 
 
-class Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value=None, pos: int = -1):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-    def __repr__(self):
-        return f"Token({self.kind}{'' if self.value is None else ':' + str(self.value)})"
-
-
 # (kind, value) of each command and operator token
 _FIXED_TOKENS = {
     **{"\\" + name: ("sym", name) for name in SYMBOL_COMMANDS},
@@ -89,150 +77,143 @@ _TOKEN_RE = re.compile(
     r"|(?P<other>(?s:.)))"
 )
 
-
-def tokenize(src) -> list:
-    """Longest-match tokenization of a clean LaTeX string.
-
-    Adjacency that implies multiplication is made explicit with an `imul`
-    token so the parser never guesses.
-    """
-    text = src.text if isinstance(src, CleanLatex) else src
-    raw: list = []
-    append = raw.append
-    match = _TOKEN_RE.match
-    # trailing spaces are cut off, so every match ends in a token
-    end = len(text.rstrip(" "))
-    i = 0
-    while i < end:
-        m = match(text, i, end)
-        group = m.lastgroup
-        pos = m.end(1)
-        i = m.end()
-        if group == "fixed":
-            fixed = _FIXED_TOKENS.get(m.group(group))
-            if fixed is None:
-                raise UnknownCommand(m.group(group), pos)
-            append(Token(*fixed, pos))
-        elif group == "letter":
-            ch = m.group(group)
-            append(Token("const" if ch in "ei" else "sym", ch, pos))
-        elif group == "int":
-            append(Token("num", Fraction(int(m.group(group))), pos))
-        elif group == "frac":
-            whole, frac = m.group("int", group)
-            scale = 10 ** len(frac)
-            append(Token("num", Fraction(int(whole) * scale + int(frac), scale), pos))
-        elif group == "env_name":
-            append(Token(m.group("env"), m.group(group), pos))
-        else:
-            raise UnknownCommand(text[pos : pos + 2] if text[pos] == "\\" else text[pos], pos)
-
-    glued = _glue_subscripts(raw)
-    return _insert_implicit_mul(glued)
-
-
-def _glue_subscripts(tokens: list) -> list:
-    """Fold `_` subscripts (and \\Delta-prefixed symbols) into atomic names."""
-    out: list = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        if t.kind in ("sym", "const") and i + 1 < n and tokens[i + 1].kind == "under":
-            base = str(t.value)
-            j = i + 2
-            if j < n and tokens[j].kind in ("sym", "const", "num"):
-                out.append(Token("sym", f"{base}_{tokens[j].value}", t.pos))
-                i = j + 1
-                continue
-            if j < n and tokens[j].kind == "lbrace":
-                depth = 0
-                parts = []
-                k = j
-                while k < n:
-                    tk = tokens[k]
-                    if tk.kind == "lbrace":
-                        depth += 1
-                    elif tk.kind == "rbrace":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                    elif tk.value is not None:
-                        parts.append(str(tk.value))
-                    elif tk.kind == "minus":
-                        parts.append("-")
-                    elif tk.kind == "plus":
-                        parts.append("+")
-                    k += 1
-                if k == n:
-                    raise ParseError(t.pos, "closing brace of subscript")
-                out.append(Token("sym", f"{base}_{''.join(parts)}", t.pos))
-                i = k + 1
-                continue
-            raise ParseError(t.pos, "subscript after '_'")
-        if (
-            t.kind == "sym"
-            and t.value == "Delta"
-            and i + 1 < n
-            and tokens[i + 1].kind in ("sym", "const")
-            and "_" not in str(tokens[i + 1].value)
-        ):
-            # a difference quantity like \Delta E is one physical symbol
-            out.append(Token("sym", f"Delta_{tokens[i + 1].value}", t.pos))
-            i += 2
-            continue
-        out.append(t)
-        i += 1
-    return out
-
-
-def _insert_implicit_mul(tokens: list) -> list:
-    out: list = []
-    for t in tokens:
-        if out and out[-1].kind in _OPERAND_ENDERS and t.kind in _OPERAND_STARTERS:
-            out.append(Token("imul", None, t.pos))
-        out.append(t)
-    return out
-
-
 _DIFFERENTIAL = sym("d")
 
 
 class _Parser:
-    """Recursive descent over a token list that ends in an `eof` sentinel, so
-    the current token is always `self.tokens[self.pos]`."""
+    """Recursive descent that reads its tokens straight from the text.
 
-    def __init__(self, tokens: list):
-        self.tokens = tokens + [Token("eof")]
-        self.pos = 0
+    The current token is `self.kind`/`self.value`, already in its final form:
+    a subscript is glued onto its symbol (`T_{c}` is the symbol `T_c`),
+    `\\Delta` onto the symbol after it (`\\Delta T_c` is `Delta_T_c`), and an
+    `imul` token stands between two adjacent operands (`2x`, `(a)(b)`), so the
+    grammar never guesses.  `self.pos` counts these tokens; the first fault
+    met in reading order is the one raised.
+    """
 
-    def expect(self, kind: str) -> Token:
-        t = self.tokens[self.pos]
-        if t.kind != kind:
-            raise ParseError(self.pos, kind)
+    def __init__(self, text: str):
+        self.text = text
+        # trailing spaces are cut off, so every match ends in a token
+        self.end = len(text.rstrip(" "))
+        self.at = 0
+        self.peeked = None  # a raw token read ahead and not used yet
+        self.pending = None  # the token an `imul` stands before
+        self.kind = None
+        self.pos = -1
+        self.advance()
+
+    def advance(self) -> None:
         self.pos += 1
-        return t
+        if self.pending is not None:
+            self.kind, self.value = self.pending
+            self.pending = None
+            return
+        kind, value, at = self._raw()
+        if kind == "sym" or kind == "const":
+            kind, value = self._subscript(kind, value, at)
+            if value == "Delta":
+                # a difference quantity like \Delta E is one physical symbol
+                nxt = self._raw()
+                if nxt[0] == "sym" or nxt[0] == "const":
+                    value = "Delta_" + self._subscript(*nxt)[1]
+                else:
+                    self.peeked = nxt
+        elif kind == "unknown":
+            raise UnknownCommand(value, at)
+        if self.kind in _OPERAND_ENDERS and kind in _OPERAND_STARTERS:
+            self.pending = kind, value
+            kind, value = "imul", None
+        self.kind = kind
+        self.value = value
+
+    def _raw(self) -> tuple:
+        """(kind, value, character position) of the next token of the text,
+        before any glue.  An unknown command comes back as kind "unknown",
+        and is raised only where it is used, so a look ahead raises nothing."""
+        t = self.peeked
+        if t is not None:
+            self.peeked = None
+            return t
+        if self.at >= self.end:
+            return "eof", None, self.end
+        m = _TOKEN_RE.match(self.text, self.at, self.end)
+        self.at = m.end()
+        group = m.lastgroup
+        pos = m.end(1)
+        if group == "fixed":
+            lexeme = m.group(group)
+            return (*_FIXED_TOKENS.get(lexeme, ("unknown", lexeme)), pos)
+        if group == "letter":
+            ch = m.group(group)
+            return "const" if ch in "ei" else "sym", ch, pos
+        if group == "int":
+            return "num", Fraction(int(m.group(group))), pos
+        if group == "frac":
+            whole, frac = m.group("int", group)
+            scale = 10 ** len(frac)
+            return "num", Fraction(int(whole) * scale + int(frac), scale), pos
+        if group == "env_name":
+            return m.group("env"), m.group(group), pos
+        text = self.text
+        return "unknown", text[pos : pos + 2] if text[pos] == "\\" else text[pos], pos
+
+    def _subscript(self, kind: str, value, at: int) -> tuple:
+        """Glue a `_` subscript (one token or a brace group) onto a symbol."""
+        t = self._raw()
+        if t[0] != "under":
+            self.peeked = t
+            return kind, value
+        depth = 0
+        parts = []
+        while True:
+            kind, sub, pos = self._raw()
+            if kind == "unknown":
+                raise UnknownCommand(sub, pos)
+            if kind == "lbrace":
+                depth += 1
+            elif depth == 0:
+                if kind not in ("sym", "const", "num"):
+                    raise ParseError(at, "subscript after '_'")
+                parts.append(str(sub))
+                break
+            elif kind == "rbrace":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif kind == "eof":
+                raise ParseError(at, "closing brace of subscript")
+            elif sub is not None:
+                parts.append(str(sub))
+            elif kind == "minus":
+                parts.append("-")
+            elif kind == "plus":
+                parts.append("+")
+        return "sym", f"{value}_{''.join(parts)}"
+
+    def expect(self, kind: str) -> None:
+        if self.kind != kind:
+            raise ParseError(self.pos, kind)
+        self.advance()
 
     # relation := additive (relop additive)?
     def relation(self) -> MathNode:
         lhs = self.additive()
-        t = self.tokens[self.pos]
-        if t.kind == "relop":
-            self.pos += 1
+        if self.kind == "relop":
+            op = self.value
+            self.advance()
             rhs = self.additive()
-            if self.tokens[self.pos].kind == "relop":
+            if self.kind == "relop":
                 raise ParseError(self.pos, "at most one relation operator")
-            return relation(t.value, lhs, rhs)
+            return relation(op, lhs, rhs)
         return lhs
 
     def additive(self) -> MathNode:
         terms = [self.multive()]
-        tokens = self.tokens
         while True:
-            kind = tokens[self.pos].kind
+            kind = self.kind
             if kind != "plus" and kind != "minus":
                 break
-            self.pos += 1
+            self.advance()
             term = self.multive()
             terms.append(neg(term) if kind == "minus" else term)
         if len(terms) == 1:
@@ -241,12 +222,11 @@ class _Parser:
 
     def multive(self) -> MathNode:
         factors = [self.unary()]
-        tokens = self.tokens
         while True:
-            kind = tokens[self.pos].kind
+            kind = self.kind
             if kind != "star" and kind != "slash" and kind != "imul":
                 break
-            self.pos += 1
+            self.advance()
             f = self.unary()
             if kind == "slash":
                 f = pow_(f, num(-1))
@@ -256,58 +236,56 @@ class _Parser:
         return MathNode(Kind.MUL, None, tuple(factors))
 
     def unary(self) -> MathNode:
-        kind = self.tokens[self.pos].kind
+        kind = self.kind
         if kind == "minus":
-            self.pos += 1
+            self.advance()
             return neg(self.unary())
         if kind == "plus":
-            self.pos += 1
+            self.advance()
             return self.unary()
         return self.power()
 
     def power(self) -> MathNode:
         base = self.postfix()
-        if self.tokens[self.pos].kind == "caret":
-            self.pos += 1
+        if self.kind == "caret":
+            self.advance()
             return pow_(base, self.exponent())
         return base
 
     def exponent(self) -> MathNode:
         """Exponent operand: brace group, signed atom, or parenthesized expr."""
-        t = self.tokens[self.pos]
-        if t.kind == "lbrace":
-            self.pos += 1
+        kind = self.kind
+        if kind == "lbrace":
+            self.advance()
             e = self.additive()
             self.expect("rbrace")
-        elif t.kind == "minus":
-            self.pos += 1
+        elif kind == "minus":
+            self.advance()
             return neg(self.exponent())
-        elif t.kind in ("num", "sym", "const"):
-            self.pos += 1
-            e = _leaf(t)
-        elif t.kind == "lparen":
-            self.pos += 1
+        elif kind in ("num", "sym", "const"):
+            e = self.leaf()
+        elif kind == "lparen":
+            self.advance()
             e = self.additive()
             self.expect("rparen")
         else:
             raise ParseError(self.pos, "exponent")
-        if self.tokens[self.pos].kind == "caret":
-            self.pos += 1
+        if self.kind == "caret":
+            self.advance()
             e = pow_(e, self.exponent())
         return e
 
     def postfix(self) -> MathNode:
         node = self.atom()
-        tokens = self.tokens
         while True:
-            kind = tokens[self.pos].kind
+            kind = self.kind
             if kind == "bang":
                 node = func("factorial", node)
             elif kind == "prime":
                 node = func("prime", node)
             else:
                 return node
-            self.pos += 1
+            self.advance()
 
     def brace_group(self) -> MathNode:
         self.expect("lbrace")
@@ -315,32 +293,39 @@ class _Parser:
         self.expect("rbrace")
         return node
 
+    def leaf(self) -> MathNode:
+        kind, value = self.kind, self.value
+        self.advance()
+        if kind == "num":
+            return num(value)
+        if kind == "const":
+            return const(value)
+        return sym(value)
+
     def atom(self) -> MathNode:
-        t = self.tokens[self.pos]
-        kind = t.kind
+        kind = self.kind
         if kind in ("num", "sym", "const"):
-            self.pos += 1
-            return _leaf(t)
+            return self.leaf()
         if kind == "lparen":
-            self.pos += 1
+            self.advance()
             node = self.additive()
             self.expect("rparen")
             return node
         if kind == "lbrack":
-            self.pos += 1
+            self.advance()
             node = self.additive()
             self.expect("rbrack")
             return node
         if kind == "lbrace":
             return self.brace_group()
         if kind == "frac":
-            self.pos += 1
+            self.advance()
             return self.frac_tail()
         if kind == "sqrt":
-            self.pos += 1
+            self.advance()
             index = None
-            if self.tokens[self.pos].kind == "lbrack":
-                self.pos += 1
+            if self.kind == "lbrack":
+                self.advance()
                 index = self.additive()
                 self.expect("rbrack")
             arg = self.brace_group()
@@ -350,11 +335,13 @@ class _Parser:
                 return pow_(arg, num(Fraction(1, 1) / index.payload))
             return pow_(arg, pow_(index, num(-1)))
         if kind == "func":
-            self.pos += 1
-            return self.function_tail(t.value)
+            name = self.value
+            self.advance()
+            return self.function_tail(name)
         if kind == "begin":
-            self.pos += 1
-            return self.matrix_tail(t.value)
+            env = self.value
+            self.advance()
+            return self.matrix_tail(env)
         raise ParseError(self.pos, "operand")
 
     def frac_tail(self) -> MathNode:
@@ -364,8 +351,8 @@ class _Parser:
         if deriv is not None:
             expr, var = deriv
             if expr is None:
-                if self.tokens[self.pos].kind == "imul":
-                    self.pos += 1
+                if self.kind == "imul":
+                    self.advance()
                 expr = self.unary()
             return MathNode(Kind.DERIVATIVE, None, (expr, sym(var)))
         return mul(a, pow_(b, num(-1)))
@@ -394,17 +381,15 @@ class _Parser:
 
     def function_tail(self, name: str) -> MathNode:
         exp = None
-        tokens = self.tokens
-        if tokens[self.pos].kind == "caret":
-            self.pos += 1
+        if self.kind == "caret":
+            self.advance()
             exp = self.exponent()
-        kind = tokens[self.pos].kind
-        if kind == "imul":
+        if self.kind == "imul":
             # adjacency after \sin^2 etc. is application, not multiplication
-            self.pos += 1
-            kind = tokens[self.pos].kind
+            self.advance()
+        kind = self.kind
         if kind == "lparen":
-            self.pos += 1
+            self.advance()
             arg = self.additive()
             self.expect("rparen")
         elif kind == "lbrace":
@@ -422,26 +407,22 @@ class _Parser:
         rows = [[]]
         while True:
             rows[-1].append(self.additive())
-            t = self.tokens[self.pos]
-            if t.kind == "eof":
+            kind = self.kind
+            if kind == "eof":
                 raise ParseError(self.pos, f"\\end{{{env}}}")
-            if t.kind == "amp":
-                self.pos += 1
+            if kind == "amp":
+                self.advance()
                 continue
-            if t.kind == "rowsep":
-                self.pos += 1
+            if kind == "rowsep":
+                self.advance()
                 rows.append([])
                 continue
-            if t.kind == "end":
-                if t.value != env:
+            if kind == "end":
+                if self.value != env:
                     raise ParseError(self.pos, f"\\end{{{env}}}")
-                self.pos += 1
+                self.advance()
                 break
             raise ParseError(self.pos, "'&', row separator, or \\end")
-        if rows and not rows[-1]:
-            rows.pop()
-        if not rows:
-            raise ParseError(self.pos, "nonempty matrix")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ParseError(self.pos, "rectangular matrix")
@@ -449,61 +430,50 @@ class _Parser:
         return MathNode(Kind.MATRIX, (len(rows), ncols), cells)
 
 
-def _leaf(t: Token) -> MathNode:
-    if t.kind == "num":
-        return num(t.value)
-    if t.kind == "const":
-        return const(t.value)
-    return sym(t.value)
-
-
-def parse_expression(tokens) -> MathNode:
-    """Parse a full token sequence (or string/CleanLatex) to one tree."""
-    if not isinstance(tokens, list):
-        tokens = tokenize(tokens)
-    p = _Parser(tokens)
+def parse_expression(src) -> MathNode:
+    """Parse a string or CleanLatex to one tree."""
+    p = _Parser(src.text if isinstance(src, CleanLatex) else src)
     node = p.relation()
-    if p.tokens[p.pos].kind != "eof":
+    if p.kind != "eof":
         raise ParseError(p.pos, "end of input")
     return node
 
 
-def _split_top_level(text: str) -> list:
-    """Split on commas at bracket depth zero."""
-    parts = []
+def _top_level(text: str, chars: str) -> list:
+    """Indices of the `chars` in `text` at bracket depth zero; a closing
+    bracket stands at the depth it closes to."""
+    found = []
     depth = 0
-    cur = []
-    for ch in text:
+    for i, ch in enumerate(text):
         if ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+        if depth == 0 and ch in chars:
+            found.append(i)
+    return found
+
+
+def _split_top_level(text: str) -> list:
+    """Split on commas at bracket depth zero."""
+    cuts = [-1, *_top_level(text, ","), len(text)]
+    return [text[a + 1 : b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _strip_outer(text: str) -> str:
     text = text.strip()
     while len(text) >= 2 and text[0] in "({" and text[-1] in ")}":
-        depth = 0
-        wraps = True
-        for i, ch in enumerate(text):
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-                if depth == 0 and i != len(text) - 1:
-                    wraps = False
-                    break
-        if not wraps:
+        closes = _top_level(text, ")]}")
+        if closes and closes[0] != len(text) - 1:
             break
         text = text[1:-1].strip()
     return text
+
+
+def _after_top_level_eq(text: str) -> str:
+    """The text after its last `=` at bracket depth zero, if it has one."""
+    eqs = _top_level(text, "=")
+    return text[eqs[-1] + 1 :].strip() if eqs else text
 
 
 def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
@@ -514,7 +484,7 @@ def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
         raise TypeMismatch("empty answer text")
 
     if declared is AnswerType.EXPRESSION:
-        node = parse_expression(CleanLatex(text))
+        node = parse_expression(text)
         if node.kind is Kind.RELATION:
             if node.payload == "=":
                 # answers often restate the symbol being solved for
@@ -524,7 +494,7 @@ def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
         return TypedAnswer(AnswerType.EXPRESSION, (node,))
 
     if declared is AnswerType.EQUATION:
-        node = parse_expression(CleanLatex(text))
+        node = parse_expression(text)
         if node.kind is not Kind.RELATION:
             raise TypeMismatch("equation answer contains no relation operator")
         return TypedAnswer(AnswerType.EQUATION, (node,))
@@ -536,17 +506,14 @@ def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
             raise TypeMismatch("tuple answer has no top-level comma")
         trees = []
         for p in parts:
-            node = parse_expression(CleanLatex(p))
+            node = parse_expression(p)
             if node.kind is Kind.RELATION and node.payload == "=":
                 node = node.children[1]
             trees.append(node)
         return TypedAnswer(AnswerType.TUPLE, tuple(trees))
 
     if declared is AnswerType.INTERVAL:
-        t = text
-        eq = _find_top_level_eq(t)
-        if eq is not None:
-            t = t[eq + 1 :].strip()
+        t = _after_top_level_eq(text)
         if len(t) < 2 or t[0] not in "([" or t[-1] not in ")]":
             raise TypeMismatch("interval answer lacks interval delimiters")
         lower_open = t[0] == "("
@@ -554,34 +521,17 @@ def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
         parts = _split_top_level(t[1:-1])
         if len(parts) != 2:
             raise TypeMismatch("interval answer needs exactly two endpoints")
-        lo = parse_expression(CleanLatex(parts[0].strip()))
-        hi = parse_expression(CleanLatex(parts[1].strip()))
+        lo = parse_expression(parts[0].strip())
+        hi = parse_expression(parts[1].strip())
         node = MathNode(Kind.INTERVAL, (lower_open, upper_open), (lo, hi))
         return TypedAnswer(AnswerType.INTERVAL, (node,))
 
     if declared is AnswerType.NUMERIC:
         from .units import parse_quantity
 
-        t = text
-        eq = _find_top_level_eq(t)
-        if eq is not None:
-            t = t[eq + 1 :].strip()
-        return TypedAnswer(AnswerType.NUMERIC, (), quantity=parse_quantity(t))
+        return TypedAnswer(AnswerType.NUMERIC, (), quantity=parse_quantity(_after_top_level_eq(text)))
 
     raise AssertionError(declared)
-
-
-def _find_top_level_eq(text: str):
-    depth = 0
-    last = None
-    for i, ch in enumerate(text):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "=" and depth == 0:
-            last = i
-    return last
 
 
 # -- serialization -----------------------------------------------------------

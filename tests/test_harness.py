@@ -72,6 +72,12 @@ class TestLoadDataset:
             load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
         assert exc.value.line == 1
 
+    def test_delta_before_subscripted_symbol(self, tmp_path):
+        row = dict(GOOD_ROW, ground_truth=r"\Delta T_c")
+        items = load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
+        report = grade_run(items, [("q1", "m", r"\boxed{\Delta T_{c}}")])
+        assert [r["score"] for r in report.records] == [100.0]
+
     def test_every_bad_row_reported(self, tmp_path, capsys):
         rows = [
             dict(GOOD_ROW, topic="Nope"),

@@ -1,11 +1,16 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from seedgrade.errors import ParseError, TypeMismatch, UnknownCommand
-from seedgrade.nodes import AnswerType, Kind, add, const, func, mul, neg, num, pow_, relation, sym
-from seedgrade.parser import parse_answer, parse_expression, serialize, tokenize
-from seedgrade.preprocess import canonicalize_latex
+from seedgrade.nodes import (
+    AnswerType, Kind, MathNode, add, const, func, mul, neg, num, pow_, relation, sym)
+from seedgrade.parser import parse_answer, parse_expression, serialize
+from seedgrade.preprocess import canonicalize_latex, extract_final_answer
 
 
 def parse(s):
@@ -13,74 +18,77 @@ def parse(s):
 
 
 class TestTokenize:
+    """The tokens the parser reads from the text, seen through the trees and
+    the errors it gives."""
+
     def test_kinetic_term_token_stream(self):
-        toks = tokenize(canonicalize_latex(r"\frac{\hbar^2 k_x^2}{2m}"))
-        kinds = [(t.kind, t.value) for t in toks]
-        assert kinds == [
-            ("frac", None),
-            ("lbrace", None),
-            ("sym", "hbar"),
-            ("caret", None),
-            ("num", Fraction(2)),
-            ("imul", None),
-            ("sym", "k_x"),
-            ("caret", None),
-            ("num", Fraction(2)),
-            ("rbrace", None),
-            ("lbrace", None),
-            ("num", Fraction(2)),
-            ("imul", None),
-            ("sym", "m"),
-            ("rbrace", None),
-        ]
+        assert parse(r"\frac{\hbar^2 k_x^2}{2m}") == mul(
+            mul(pow_(sym("hbar"), num(2)), pow_(sym("k_x"), num(2))),
+            pow_(mul(num(2), sym("m")), num(-1)),
+        )
 
     def test_longest_match_left_vs_le(self):
         # \left is removed upstream; \le survives as a relation operator
-        toks = tokenize(canonicalize_latex(r"a \le b"))
-        assert [t.kind for t in toks] == ["sym", "relop", "sym"]
+        assert parse(r"a \le b") == relation("<=", sym("a"), sym("b"))
 
     def test_implicit_mul_cases(self):
-        assert [t.kind for t in tokenize("2x")] == ["num", "imul", "sym"]
-        assert [t.kind for t in tokenize("x y")] == ["sym", "imul", "sym"]
-        assert [t.kind for t in tokenize("(a)(b)")][3:5] == ["imul", "lparen"]
+        assert parse_expression("2x") == mul(num(2), sym("x"))
+        assert parse_expression("x y") == mul(sym("x"), sym("y"))
+        assert parse_expression("(a)(b)") == mul(sym("a"), sym("b"))
 
     def test_subscript_glue(self):
-        assert tokenize("k_x")[0].value == "k_x"
-        assert tokenize("T_{c}")[0].value == "T_c"
-        assert tokenize(canonicalize_latex(r"\varepsilon_0"))[0].value == "varepsilon_0"
+        assert parse_expression("k_x") == sym("k_x")
+        assert parse_expression("T_{c}") == sym("T_c")
+        assert parse(r"\varepsilon_0") == sym("varepsilon_0")
+
+    def test_second_subscript_rejected(self):
+        with pytest.raises(ParseError):
+            parse_expression("x_1_2")
 
     def test_delta_glue(self):
-        toks = tokenize(canonicalize_latex(r"\Delta E"))
-        assert [(t.kind, t.value) for t in toks] == [("sym", "Delta_E")]
+        assert parse(r"\Delta E") == sym("Delta_E")
+
+    @pytest.mark.parametrize("src, name", [
+        (r"\Delta T_c", "Delta_T_c"), (r"\Delta T_{c}", "Delta_T_c"), (r"\Delta_{x}", "Delta_x")])
+    def test_delta_before_subscripted_symbol(self, src, name):
+        assert parse(src) == sym(name)
 
     def test_unknown_command(self):
-        # the tokenizer reads ASCII only; normalization maps or drops the rest
-        for src in (r"\foobar x", "x\u00b2", "\u00e9"):
+        # the reader takes ASCII only; normalization maps or drops the rest
+        for src in (r"\foobar x", "x²", "é"):
             with pytest.raises(UnknownCommand):
-                tokenize(src)
+                parse_expression(src)
+
+    def test_first_fault_in_reading_order(self):
+        with pytest.raises(ParseError):
+            parse_expression(r"x + ) \foo")
 
     def test_decimal_number(self):
-        assert tokenize("3.25")[0].value == Fraction("3.25")
+        assert parse_expression("3.25") == num(Fraction("3.25"))
 
     @pytest.mark.parametrize("src, value", [("1.50", Fraction(3, 2)), ("007", Fraction(7))])
     def test_literal_values(self, src, value):
-        (tok,) = tokenize(src)
-        assert tok.value == value and type(tok.value) is Fraction
+        tree = parse_expression(src)
+        assert tree == num(value) and type(tree.payload) is Fraction
 
     def test_positions_after_space_runs(self):
-        toks = tokenize("x  +   y")
-        assert [(t.kind, t.pos) for t in toks] == [("sym", 0), ("plus", 3), ("sym", 7)]
-        assert [(t.kind, t.pos) for t in tokenize("   2 x")] == [
-            ("num", 3), ("imul", 5), ("sym", 5)]
+        for src, pos in (("x  +   ?", 7), ("   2 ?", 5)):
+            with pytest.raises(UnknownCommand) as exc:
+                parse_expression(src)
+            assert exc.value.position == pos
 
     def test_environment_name_after_space(self):
-        toks = tokenize(r"  \begin {pmatrix} 1 \end  {pmatrix}")
-        assert [(t.kind, t.value, t.pos) for t in toks] == [
-            ("begin", "pmatrix", 2), ("num", Fraction(1), 19), ("end", "pmatrix", 21)]
+        src = r"  \begin {pmatrix} 1 \end  {pmatrix}"
+        assert parse_expression(src) == MathNode(Kind.MATRIX, (1, 1), (num(1),))
+        with pytest.raises(UnknownCommand) as exc:
+            parse_expression(src + "?")
+        assert exc.value.position == 36
 
     def test_trailing_spaces(self):
-        assert [(t.kind, t.pos) for t in tokenize("x   ")] == [("sym", 0)]
-        assert tokenize("   ") == []
+        assert parse_expression("x   ") == sym("x")
+        with pytest.raises(ParseError) as exc:
+            parse_expression("   ")
+        assert (exc.value.position, exc.value.expectation) == (0, "operand")
 
     @pytest.mark.parametrize("src, name, pos", [
         ("x   ?", "?", 4),
@@ -90,8 +98,79 @@ class TestTokenize:
     ])
     def test_unknown_character_after_spaces(self, src, name, pos):
         with pytest.raises(UnknownCommand) as exc:
-            tokenize(src)
+            parse_expression(src)
         assert (exc.value.name, exc.value.position) == (name, pos)
+
+
+def _mini_texts():
+    """Every ground truth and final answer of the minicorpus, raw and normalized."""
+    data = resources.files("seedgrade.data")
+    texts = []
+    for name, key in (("minicorpus.jsonl", "ground_truth"),
+                      ("minicorpus_responses.jsonl", "response")):
+        for line in data.joinpath(name).read_text("utf-8").splitlines():
+            text = json.loads(line)[key]
+            if key == "response":
+                text = extract_final_answer(text)
+            texts += [text, canonicalize_latex(text).text]
+    return texts
+
+
+_ATOMS = ["x", "y", "T", "c", "e", "i", "2", "10", "1.5", "007", r"\pi", r"\alpha", r"\hbar",
+          "k_x", "T_{c}", "x_1", r"\varepsilon_0", "q_{12}", "a_{-1}", r"\Delta E", r"\Delta_{x}",
+          r"\Delta t", "n!", "f'", "y''"]
+
+
+def _spaces(rng):
+    return " " * rng.choice((0, 0, 1, 2))
+
+
+def _expression(rng, depth):
+    """A seeded LaTeX expression built from a fixed set of pieces."""
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(_ATOMS)
+    a = _expression(rng, depth - 1)
+    b = _expression(rng, depth - 1)
+    sp = _spaces(rng)
+    return rng.choice((
+        f"{a}{sp}+{sp}{b}", f"{a}{sp}-{sp}{b}", f"{a}{sp}\\cdot {b}", f"{a}{sp}/{sp}{b}",
+        f"{a} {b}", f"({a}){sp}({b})", f"{{{a}}}{sp}[{b}]", f"\\frac{{{a}}}{{{b}}}",
+        f"\\sqrt{{{a}}}", f"\\sqrt[{sp}3]{{{a}}}", f"\\sqrt[n]{{{b}}}", f"({a})^{{{b}}}",
+        f"x^{sp}2{sp}{b}", f"({a})!", f"({a})'", f"\\sin{sp}({a})", f"\\cos^2 {b}",
+        f"\\begin{sp}{{pmatrix}}{a}{sp}&{sp}{b}\\\\ {b} & {a}\\end{{pmatrix}}",
+        f"-{sp}{a}", f"\\frac{{d}}{{dx}}{sp}{a}",
+    ))
+
+
+class TestGoldenFrontEnd:
+    """Trees of the minicorpus texts and of seeded generated expressions,
+    pinned by a sha256 digest: a rewrite of the reader or the grammar must
+    keep every tree and the set of inputs that parse."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(2014)
+        generated = []
+        for _ in range(2000):
+            text = _expression(rng, rng.randint(1, 4))
+            generated.append(f"{text}{_spaces(rng)}={_spaces(rng)}{_expression(rng, 2)}"
+                             if rng.random() < 0.1 else text)
+        return _mini_texts() + generated
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        parsed = 0
+        for text in self._cases():
+            try:
+                tree = parse_expression(text)
+            except (ParseError, UnknownCommand):
+                continue
+            parsed += 1
+            h.update(f"{text}\n{tree!r}\n".encode())
+        assert (parsed, h.hexdigest()) == GOLDEN_FRONT_END
+
+
+GOLDEN_FRONT_END = (1812, "28e2541eb06576a6240888f96310259aff2cb2f2914396b39e3e6e9ade335c30")
 
 
 class TestParse:
