@@ -1,4 +1,4 @@
-"""Tokenizer and recursive-descent parser for the supported LaTeX subset.
+"""Reader and operator-precedence parser for the supported LaTeX subset.
 
 The grammar is a closed whitelist (see docs/grammar.md); unknown commands
 raise UnknownCommand instead of silently becoming symbols.
@@ -46,6 +46,7 @@ MATRIX_ENVS = {"pmatrix", "bmatrix", "vmatrix", "Vmatrix", "matrix"}
 
 _OPERAND_ENDERS = {"num", "sym", "const", "rparen", "rbrack", "rbrace", "bang", "prime"}
 _OPERAND_STARTERS = {"num", "sym", "const", "lparen", "frac", "sqrt", "func", "begin"}
+_CLOSERS = {"lparen": "rparen", "lbrack": "rbrack", "lbrace": "rbrace"}
 
 
 # (kind, value) of each command and operator token
@@ -81,7 +82,7 @@ _DIFFERENTIAL = sym("d")
 
 
 class _Parser:
-    """Recursive descent that reads its tokens straight from the text.
+    """An operator-precedence parser that reads its tokens straight from the text.
 
     The current token is `self.kind`/`self.value`, already in its final form:
     a subscript is glued onto its symbol (`T_{c}` is the symbol `T_c`),
@@ -195,103 +196,81 @@ class _Parser:
             raise ParseError(self.pos, kind)
         self.advance()
 
-    # relation := additive (relop additive)?
-    def relation(self) -> MathNode:
-        lhs = self.additive()
-        if self.kind == "relop":
-            op = self.value
-            self.advance()
-            rhs = self.additive()
-            if self.kind == "relop":
-                raise ParseError(self.pos, "at most one relation operator")
-            return relation(op, lhs, rhs)
-        return lhs
-
-    def additive(self) -> MathNode:
-        terms = [self.multive()]
+    def expression(self, relation_ok: bool = False) -> MathNode:
+        """Factors joined by `* / imul` into a flat MUL, those products
+        joined by `+ -` into a flat ADD, and, where `relation_ok`, one
+        relation operator between two such sums."""
+        op = lhs = None
+        terms = []
+        minus = False
+        factors = [self.factor()]
         while True:
             kind = self.kind
-            if kind != "plus" and kind != "minus":
+            if kind == "star" or kind == "slash" or kind == "imul":
+                self.advance()
+                f = self.factor()
+                factors.append(pow_(f, num(-1)) if kind == "slash" else f)
+                continue
+            term = _joined(Kind.MUL, factors)
+            terms.append(neg(term) if minus else term)
+            if kind == "plus" or kind == "minus":
+                minus = kind == "minus"
+            elif kind == "relop" and relation_ok:
+                if op is not None:
+                    raise ParseError(self.pos, "at most one relation operator")
+                op, lhs, terms, minus = self.value, _joined(Kind.ADD, terms), [], False
+            else:
                 break
             self.advance()
-            term = self.multive()
-            terms.append(neg(term) if kind == "minus" else term)
-        if len(terms) == 1:
-            return terms[0]
-        return MathNode(Kind.ADD, None, tuple(terms))
+            factors = [self.factor()]
+        node = _joined(Kind.ADD, terms)
+        return node if op is None else relation(op, lhs, node)
 
-    def multive(self) -> MathNode:
-        factors = [self.unary()]
-        while True:
-            kind = self.kind
-            if kind != "star" and kind != "slash" and kind != "imul":
-                break
-            self.advance()
-            f = self.unary()
-            if kind == "slash":
-                f = pow_(f, num(-1))
-            factors.append(f)
-        if len(factors) == 1:
-            return factors[0]
-        return MathNode(Kind.MUL, None, tuple(factors))
-
-    def unary(self) -> MathNode:
+    def factor(self) -> MathNode:
+        """Leading signs, then an atom or a bracket group, its postfix `!`/`'`
+        and a `^` exponent; a sign binds looser than the power."""
         kind = self.kind
-        if kind == "minus":
+        negations = 0
+        while kind == "minus" or kind == "plus":
+            negations += kind == "minus"
             self.advance()
-            return neg(self.unary())
-        if kind == "plus":
+            kind = self.kind
+        node = self.group(kind) if kind in _CLOSERS else self.atom()
+        kind = self.kind
+        while kind == "bang" or kind == "prime":
+            node = func("factorial" if kind == "bang" else "prime", node)
             self.advance()
-            return self.unary()
-        return self.power()
+            kind = self.kind
+        if kind == "caret":
+            self.advance()
+            node = pow_(node, self.exponent())
+        for _ in range(negations):
+            node = neg(node)
+        return node
 
-    def power(self) -> MathNode:
-        base = self.postfix()
-        if self.kind == "caret":
-            self.advance()
-            return pow_(base, self.exponent())
-        return base
+    def group(self, opener: str) -> MathNode:
+        """`opener`, an expression, and the bracket that closes it."""
+        self.expect(opener)
+        node = self.expression()
+        self.expect(_CLOSERS[opener])
+        return node
 
     def exponent(self) -> MathNode:
         """Exponent operand: brace group, signed atom, or parenthesized expr."""
         kind = self.kind
-        if kind == "lbrace":
-            self.advance()
-            e = self.additive()
-            self.expect("rbrace")
+        if kind == "lbrace" or kind == "lparen":
+            e = self.group(kind)
         elif kind == "minus":
             self.advance()
             return neg(self.exponent())
         elif kind in ("num", "sym", "const"):
             e = self.leaf()
-        elif kind == "lparen":
-            self.advance()
-            e = self.additive()
-            self.expect("rparen")
         else:
             raise ParseError(self.pos, "exponent")
         if self.kind == "caret":
             self.advance()
             e = pow_(e, self.exponent())
         return e
-
-    def postfix(self) -> MathNode:
-        node = self.atom()
-        while True:
-            kind = self.kind
-            if kind == "bang":
-                node = func("factorial", node)
-            elif kind == "prime":
-                node = func("prime", node)
-            else:
-                return node
-            self.advance()
-
-    def brace_group(self) -> MathNode:
-        self.expect("lbrace")
-        node = self.additive()
-        self.expect("rbrace")
-        return node
 
     def leaf(self) -> MathNode:
         kind, value = self.kind, self.value
@@ -306,29 +285,13 @@ class _Parser:
         kind = self.kind
         if kind in ("num", "sym", "const"):
             return self.leaf()
-        if kind == "lparen":
-            self.advance()
-            node = self.additive()
-            self.expect("rparen")
-            return node
-        if kind == "lbrack":
-            self.advance()
-            node = self.additive()
-            self.expect("rbrack")
-            return node
-        if kind == "lbrace":
-            return self.brace_group()
         if kind == "frac":
             self.advance()
             return self.frac_tail()
         if kind == "sqrt":
             self.advance()
-            index = None
-            if self.kind == "lbrack":
-                self.advance()
-                index = self.additive()
-                self.expect("rbrack")
-            arg = self.brace_group()
+            index = self.group("lbrack") if self.kind == "lbrack" else None
+            arg = self.group("lbrace")
             if index is None:
                 return pow_(arg, num(Fraction(1, 2)))
             if index.kind is Kind.NUMBER and index.payload != 0:
@@ -345,15 +308,15 @@ class _Parser:
         raise ParseError(self.pos, "operand")
 
     def frac_tail(self) -> MathNode:
-        a = self.brace_group()
-        b = self.brace_group()
+        a = self.group("lbrace")
+        b = self.group("lbrace")
         deriv = self._derivative_pattern(a, b)
         if deriv is not None:
             expr, var = deriv
             if expr is None:
                 if self.kind == "imul":
                     self.advance()
-                expr = self.unary()
+                expr = self.factor()
             return MathNode(Kind.DERIVATIVE, None, (expr, sym(var)))
         return mul(a, pow_(b, num(-1)))
 
@@ -388,14 +351,12 @@ class _Parser:
             # adjacency after \sin^2 etc. is application, not multiplication
             self.advance()
         kind = self.kind
-        if kind == "lparen":
-            self.advance()
-            arg = self.additive()
-            self.expect("rparen")
-        elif kind == "lbrace":
-            arg = self.brace_group()
+        if kind == "lparen" or kind == "lbrace":
+            arg = self.group(kind)
+        elif kind == "minus" or kind == "plus":
+            raise ParseError(self.pos, "operand")  # a bare argument takes no sign
         else:
-            arg = self.power()
+            arg = self.factor()
         node = func(name, arg)
         if exp is not None:
             node = pow_(node, exp)
@@ -406,7 +367,7 @@ class _Parser:
             raise ParseError(self.pos, f"supported matrix environment, got {env}")
         rows = [[]]
         while True:
-            rows[-1].append(self.additive())
+            rows[-1].append(self.expression())
             kind = self.kind
             if kind == "eof":
                 raise ParseError(self.pos, f"\\end{{{env}}}")
@@ -430,10 +391,15 @@ class _Parser:
         return MathNode(Kind.MATRIX, (len(rows), ncols), cells)
 
 
+def _joined(kind: Kind, items: list) -> MathNode:
+    """The one item, or a flat `kind` node of all of them."""
+    return items[0] if len(items) == 1 else MathNode(kind, None, tuple(items))
+
+
 def parse_expression(src) -> MathNode:
     """Parse a string or CleanLatex to one tree."""
     p = _Parser(src.text if isinstance(src, CleanLatex) else src)
-    node = p.relation()
+    node = p.expression(relation_ok=True)
     if p.kind != "eof":
         raise ParseError(p.pos, "end of input")
     return node

@@ -88,7 +88,7 @@ def _continued_fraction(depth):
 
 # predictions that raised out of grade() before the internal-error safety net
 CRASHERS = [
-    pytest.param("(" * 200 + "x" + ")" * 200, "RecursionError", id="nested-parentheses"),
+    pytest.param("(" * 1000 + "x" + ")" * 1000, "RecursionError", id="nested-parentheses"),
     pytest.param(_continued_fraction(99), "RecursionError", id="continued-fraction"),
     pytest.param("3^{100000}", "ValueError", id="int-digit-limit"),
 ]
@@ -107,7 +107,11 @@ class TestNeverCrash:
 
     def test_deep_ground_truth_is_invalid(self):
         with pytest.raises(GroundTruthInvalid, match="nesting too deep"):
-            score("x", "(" * 200 + "x" + ")" * 200, "expression")
+            score("x", "(" * 1000 + "x" + ")" * 1000, "expression")
+
+    def test_nesting_below_the_recursion_limit_grades(self):
+        # three frames per bracket level: 300 levels fit under the default limit of 1000
+        assert score("(" * 300 + "x" + ")" * 300, "x", "expression").score == 100.0
 
 
 # the GF(P) modulus of the exact equivalence path

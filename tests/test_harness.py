@@ -67,7 +67,7 @@ class TestLoadDataset:
         assert exc.value.line == 2
 
     def test_deep_ground_truth_reports_line(self, tmp_path):
-        row = dict(GOOD_ROW, ground_truth="(" * 200 + "x" + ")" * 200)
+        row = dict(GOOD_ROW, ground_truth="(" * 1000 + "x" + ")" * 1000)
         with pytest.raises(GroundTruthInvalid, match="nesting too deep") as exc:
             load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
         assert exc.value.line == 1
