@@ -45,7 +45,7 @@ FUNCTION_COMMANDS = {
 MATRIX_ENVS = {"pmatrix", "bmatrix", "vmatrix", "Vmatrix", "matrix"}
 
 _OPERAND_ENDERS = {"num", "sym", "const", "rparen", "rbrack", "rbrace", "bang", "prime"}
-_OPERAND_STARTERS = {"num", "sym", "const", "lparen", "frac", "sqrt", "func", "begin"}
+_OPERAND_STARTERS = {"num", "sym", "const", "lparen", "lbrack", "frac", "sqrt", "func", "begin"}
 _CLOSERS = {"lparen": "rparen", "lbrack": "rbrack", "lbrace": "rbrace"}
 
 

@@ -35,6 +35,9 @@ class TestExpression:
     def test_restated_name_ok(self):
         assert score(r"\boxed{\tau = 2x}", "2x", "expression").score == 100.0
 
+    def test_square_bracket_after_operand_multiplies(self):
+        assert score(r"\boxed{2[x+1]}", "2x+2", "expression").score == 100.0
+
     def test_garbage_scores_zero(self):
         r = score("I could not solve this one, sorry!", "2x", "expression")
         assert r.score == 0.0

@@ -35,6 +35,7 @@ class TestTokenize:
         assert parse_expression("2x") == mul(num(2), sym("x"))
         assert parse_expression("x y") == mul(sym("x"), sym("y"))
         assert parse_expression("(a)(b)") == mul(sym("a"), sym("b"))
+        assert parse_expression("2[x+1]") == mul(num(2), add(sym("x"), num(1)))
 
     def test_subscript_glue(self):
         assert parse_expression("k_x") == sym("k_x")
@@ -170,7 +171,7 @@ class TestGoldenFrontEnd:
         assert (parsed, h.hexdigest()) == GOLDEN_FRONT_END
 
 
-GOLDEN_FRONT_END = (1812, "28e2541eb06576a6240888f96310259aff2cb2f2914396b39e3e6e9ade335c30")
+GOLDEN_FRONT_END = (2017, "a9f4ccd2ca92da1350954ec3b6c7a26082eccc069a2e4d5cda2d51ed88a32182")
 
 
 class TestParse:
