@@ -7,6 +7,7 @@ raise UnknownCommand instead of silently becoming symbols.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, TypeMismatch, UnknownCommand
@@ -111,16 +112,18 @@ class _Parser:
             return
         kind, value, at = self._raw()
         if kind == "sym" or kind == "const":
-            kind, value = self._subscript(kind, value, at)
+            kind, value = self._subscript(kind, value)
             if value == "Delta":
                 # a difference quantity like \Delta E is one physical symbol
                 nxt = self._raw()
                 if nxt[0] == "sym" or nxt[0] == "const":
-                    value = "Delta_" + self._subscript(*nxt)[1]
+                    value = "Delta_" + self._subscript(nxt[0], nxt[1])[1]
                 else:
                     self.peeked = nxt
         elif kind == "unknown":
             raise UnknownCommand(value, at)
+        elif kind == "long":
+            raise self._long_number()
         if self.kind in _OPERAND_ENDERS and kind in _OPERAND_STARTERS:
             self.pending = kind, value
             kind, value = "imul", None
@@ -129,8 +132,9 @@ class _Parser:
 
     def _raw(self) -> tuple:
         """(kind, value, character position) of the next token of the text,
-        before any glue.  An unknown command comes back as kind "unknown",
-        and is raised only where it is used, so a look ahead raises nothing."""
+        before any glue.  An unknown command comes back as kind "unknown"
+        and a number past Python's int-string limit as kind "long"; each is
+        raised only where it is used, so a look ahead raises nothing."""
         t = self.peeked
         if t is not None:
             self.peeked = None
@@ -147,18 +151,28 @@ class _Parser:
         if group == "letter":
             ch = m.group(group)
             return "const" if ch in "ei" else "sym", ch, pos
-        if group == "int":
-            return "num", Fraction(int(m.group(group))), pos
-        if group == "frac":
-            whole, frac = m.group("int", group)
-            scale = 10 ** len(frac)
-            return "num", Fraction(int(whole) * scale + int(frac), scale), pos
+        if group == "int" or group == "frac":
+            whole, frac = m.group("int", "frac")
+            digits = whole + frac if frac else whole
+            if 0 < sys.get_int_max_str_digits() < len(digits):
+                return "long", None, pos
+            value = Fraction(int(digits), 10 ** len(frac)) if frac else Fraction(int(digits))
+            return "num", value, pos
         if group == "env_name":
             return m.group("env"), m.group(group), pos
         text = self.text
         return "unknown", text[pos : pos + 2] if text[pos] == "\\" else text[pos], pos
 
-    def _subscript(self, kind: str, value, at: int) -> tuple:
+    def _index(self) -> int:
+        """The token index of the operand being read: one past `self.pos`
+        when an `imul` goes before it."""
+        return self.pos + (self.kind in _OPERAND_ENDERS)
+
+    def _long_number(self) -> ParseError:
+        limit = sys.get_int_max_str_digits()
+        return ParseError(self._index(), f"number of at most {limit} digits")
+
+    def _subscript(self, kind: str, value) -> tuple:
         """Glue a `_` subscript (one token or a brace group) onto a symbol."""
         t = self._raw()
         if t[0] != "under":
@@ -170,11 +184,13 @@ class _Parser:
             kind, sub, pos = self._raw()
             if kind == "unknown":
                 raise UnknownCommand(sub, pos)
+            if kind == "long":
+                raise self._long_number()
             if kind == "lbrace":
                 depth += 1
             elif depth == 0:
                 if kind not in ("sym", "const", "num"):
-                    raise ParseError(at, "subscript after '_'")
+                    raise ParseError(self._index(), "subscript after '_'")
                 parts.append(str(sub))
                 break
             elif kind == "rbrace":
@@ -182,7 +198,7 @@ class _Parser:
                 if depth == 0:
                     break
             elif kind == "eof":
-                raise ParseError(at, "closing brace of subscript")
+                raise ParseError(self._index(), "closing brace of subscript")
             elif sub is not None:
                 parts.append(str(sub))
             elif kind == "minus":

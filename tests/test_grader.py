@@ -112,6 +112,12 @@ class TestNeverCrash:
         with pytest.raises(GroundTruthInvalid, match="nesting too deep"):
             score("x", "(" * 1000 + "x" + ")" * 1000, "expression")
 
+    def test_oversized_literal_prediction_is_a_parse_error(self):
+        start = time.perf_counter()
+        r = score(r"\boxed{" + "9" * 5000 + "}", "x", "expression")
+        assert time.perf_counter() - start < 0.05
+        assert r.score == 0.0 and r.diagnostics[0].startswith("ParseError:")
+
     def test_nesting_below_the_recursion_limit_grades(self):
         # three frames per bracket level: 300 levels fit under the default limit of 1000
         assert score("(" * 300 + "x" + ")" * 300, "x", "expression").score == 100.0

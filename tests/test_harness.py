@@ -72,6 +72,12 @@ class TestLoadDataset:
             load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
         assert exc.value.line == 1
 
+    def test_oversized_literal_ground_truth_reports_line(self, tmp_path):
+        rows = [GOOD_ROW, dict(GOOD_ROW, id="q2", ground_truth="9" * 5000)]
+        with pytest.raises(GroundTruthInvalid, match="number of at most") as exc:
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", rows))
+        assert exc.value.line == 2
+
     def test_delta_before_subscripted_symbol(self, tmp_path):
         row = dict(GOOD_ROW, ground_truth=r"\Delta T_c")
         items = load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -11,6 +12,10 @@ from seedgrade.nodes import (
     AnswerType, Kind, MathNode, add, const, func, mul, neg, num, pow_, relation, sym)
 from seedgrade.parser import parse_answer, parse_expression, serialize
 from seedgrade.preprocess import canonicalize_latex, extract_final_answer
+
+
+# Python's int-string limit (4300 digits by default)
+_DIGITS = sys.get_int_max_str_digits()
 
 
 def parse(s):
@@ -41,6 +46,27 @@ class TestTokenize:
         assert parse_expression("k_x") == sym("k_x")
         assert parse_expression("T_{c}") == sym("T_c")
         assert parse(r"\varepsilon_0") == sym("varepsilon_0")
+
+    @pytest.mark.parametrize("src, position", [("x + y_", 2), ("2y_", 2), ("2 x_{1", 2)])
+    def test_subscript_fault_gives_token_index(self, src, position):
+        # the index counts the `imul` that goes before `y` in `2y_`
+        with pytest.raises(ParseError) as exc:
+            parse_expression(src)
+        assert exc.value.position == position
+
+    def test_number_at_int_string_limit(self):
+        assert parse_expression("1." + "9" * (_DIGITS - 1)) == num(2 - Fraction(1, 10 ** (_DIGITS - 1)))
+
+    @pytest.mark.parametrize("src, position", [
+        pytest.param("x + " + "9" * (_DIGITS + 1), 2, id="integer"),
+        pytest.param("x + 1." + "9" * _DIGITS, 2, id="decimal"),
+        pytest.param("2x_{" + "9" * 5000 + "}", 2, id="subscript"),
+    ])
+    def test_number_past_int_string_limit(self, src, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(src)
+        assert (exc.value.position, exc.value.expectation) == (
+            position, f"number of at most {_DIGITS} digits")
 
     def test_second_subscript_rejected(self):
         with pytest.raises(ParseError):
@@ -179,6 +205,20 @@ class TestParse:
         assert parse("2x^3") == mul(num(2), pow_(sym("x"), num(3)))
         assert parse("-x^2") == neg(pow_(sym("x"), num(2)))
         assert parse("a+b c") == add(sym("a"), mul(sym("b"), sym("c")))
+
+    @pytest.mark.parametrize("src, tree", [
+        ("--x", mul(num(-1), mul(num(-1), sym("x")))),
+        ("-+-x", mul(num(-1), mul(num(-1), sym("x")))),
+        ("--2", num(2)),
+        ("a - -b", add(sym("a"), mul(num(-1), mul(num(-1), sym("b"))))),
+        (r"a \cdot -b", mul(sym("a"), mul(num(-1), sym("b")))),
+        ("-n!", mul(num(-1), func("factorial", sym("n")))),
+        ("-x^2", mul(num(-1), pow_(sym("x"), num(2)))),
+        ("x^-2^3", pow_(sym("x"), mul(num(-1), pow_(num(2), num(3))))),
+        ("a/bc", mul(sym("a"), pow_(sym("b"), num(-1)), sym("c"))),
+    ])
+    def test_sign_and_precedence_corners(self, src, tree):
+        assert parse_expression(src) == tree
 
     def test_power_right_assoc(self):
         assert parse("x^2^3") == pow_(sym("x"), pow_(num(2), num(3)))
