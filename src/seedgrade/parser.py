@@ -153,11 +153,11 @@ class _Parser:
             return "const" if ch in "ei" else "sym", ch, pos
         if group == "int" or group == "frac":
             whole, frac = m.group("int", "frac")
-            digits = whole + frac if frac else whole
-            if 0 < sys.get_int_max_str_digits() < len(digits):
+            try:
+                n = int(whole + frac) if frac else int(whole)
+            except ValueError:  # more digits than Python's int-string limit
                 return "long", None, pos
-            value = Fraction(int(digits), 10 ** len(frac)) if frac else Fraction(int(digits))
-            return "num", value, pos
+            return "num", Fraction(n, 10 ** len(frac)) if frac else Fraction(n), pos
         if group == "env_name":
             return m.group("env"), m.group(group), pos
         text = self.text
@@ -227,7 +227,7 @@ class _Parser:
                 f = self.factor()
                 factors.append(pow_(f, num(-1)) if kind == "slash" else f)
                 continue
-            term = _joined(Kind.MUL, factors)
+            term = factors[0] if len(factors) == 1 else MathNode(Kind.MUL, None, tuple(factors))
             terms.append(neg(term) if minus else term)
             if kind == "plus" or kind == "minus":
                 minus = kind == "minus"
@@ -260,8 +260,9 @@ class _Parser:
         if kind == "caret":
             self.advance()
             node = pow_(node, self.exponent())
-        for _ in range(negations):
+        while negations:
             node = neg(node)
+            negations -= 1
         return node
 
     def group(self, opener: str) -> MathNode:
