@@ -11,13 +11,13 @@ from importlib import resources
 from .errors import DimensionMismatch, NoNumber, UnknownUnit
 
 BASE_UNITS = ("m", "kg", "s", "A", "K", "mol", "cd")
-DIMENSIONLESS = (Fraction(0),) * 7
 
+# tried in this order, longest first, after an exact match fails
 PREFIXES = {
+    "mu": 1e-6,
     "f": 1e-15,
     "p": 1e-12,
     "n": 1e-9,
-    "mu": 1e-6,
     "u": 1e-6,
     "m": 1e-3,
     "c": 1e-2,
@@ -40,132 +40,90 @@ class Quantity:
             raise ValueError("magnitude must be finite")
 
 
-def _parse_dimension(text: str) -> tuple:
-    dim = [Fraction(0)] * 7
-    for part in text.split():
-        m = re.fullmatch(r"([a-zA-Z]+)(?:\^(-?\d+(?:/\d+)?))?", part)
-        if not m or m.group(1) not in BASE_UNITS:
-            raise ValueError(f"bad dimension factor {part!r}")
-        idx = BASE_UNITS.index(m.group(1))
-        dim[idx] += Fraction(m.group(2)) if m.group(2) else Fraction(1)
-    return tuple(dim)
+def read_table(text: str) -> dict:
+    """token -> (dimension, scale) from the `units.tab` format (docs/grammar.md)."""
+    table = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        token, scale, factors = map(str.strip, re.split("[=;]", line, maxsplit=2))
+        if token in table:
+            raise ValueError(f"line {lineno}: duplicate unit token {token!r}")
+        dim = [Fraction(0)] * 7
+        for factor in factors.split():
+            m = re.fullmatch(r"([a-zA-Z]+)(?:\^(-?\d+(?:/\d+)?))?", factor)
+            if not m or m.group(1) not in BASE_UNITS:
+                raise ValueError(f"line {lineno}: bad dimension factor {factor!r}")
+            dim[BASE_UNITS.index(m.group(1))] += Fraction(m.group(2) or 1)
+        table[token] = (tuple(dim), float(scale))
+    return table
 
 
-class UnitTable:
-    """Immutable token -> (dimension, scale) table, prefix-composable."""
-
-    def __init__(self, entries: dict, prefixes: dict = PREFIXES):
-        self.entries = dict(entries)
-        self.prefixes = dict(prefixes)
-
-    @classmethod
-    def from_text(cls, text: str) -> "UnitTable":
-        entries = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            token, _, rest = line.partition("=")
-            token = token.strip()
-            scale_text, _, dim_text = rest.partition(";")
-            if token in entries:
-                raise ValueError(f"line {lineno}: duplicate unit token {token!r}")
-            entries[token] = (_parse_dimension(dim_text.strip()), float(scale_text))
-        return cls(entries)
-
-    @classmethod
-    def default(cls) -> "UnitTable":
-        text = resources.files("seedgrade.data").joinpath("units.tab").read_text("utf-8")
-        return cls.from_text(text)
-
-    def resolve(self, token: str):
-        """(dimension, scale) for a unit token, trying prefixes after exact match."""
-        hit = self.entries.get(token)
-        if hit is not None:
-            return hit
-        for prefix in sorted(self.prefixes, key=len, reverse=True):
-            if token.startswith(prefix) and len(token) > len(prefix):
-                rest = self.entries.get(token[len(prefix):])
-                if rest is not None:
-                    dim, scale = rest
-                    return dim, scale * self.prefixes[prefix]
-        raise UnknownUnit(token)
+# the bundled units.tab, read on first use
+_UNITS: dict = {}
 
 
-_DEFAULT_TABLE: UnitTable | None = None
-
-
-def default_table() -> UnitTable:
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = UnitTable.default()
-    return _DEFAULT_TABLE
+def _resolve(token: str) -> tuple:
+    """(dimension, scale) for a unit token, trying prefixes after exact match."""
+    hit = _UNITS.get(token)
+    if hit is not None:
+        return hit
+    for prefix, factor in PREFIXES.items():
+        if token.startswith(prefix) and len(token) > len(prefix):
+            hit = _UNITS.get(token[len(prefix):])
+            if hit is not None:
+                return hit[0], hit[1] * factor
+    raise UnknownUnit(token)
 
 
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_SCI_RE = re.compile(r"^\s*(?:\\times|\\cdot|\*|x)\s*10\s*\^\s*\{?\s*([+-]?\d+)\s*\}?")
-_POW10_RE = re.compile(r"^\s*10\s*\^\s*\{?\s*([+-]?\d+)\s*\}?")
+# `\times 10^{b}` after the number, or a bare `^{b}` after a leading `10`
+_POWER_RE = re.compile(r"\s*((?:\\times|\\cdot|\*|x)\s*10\s*)?\^\s*\{?\s*([+-]?\d+)\s*\}?")
+# a unit word and its exponent, or the `/` after which exponents are negated
+_UNIT_RE = re.compile(r"(/)|\\?([a-zA-Z]+)\s*(?:\^\s*(-?\d+(?:/\d+)?))?")
 
 
-def _unit_tokens(text: str) -> list:
-    """[(token, exponent)] from a unit-product string like `m/s^2` or `J \\cdot s`."""
-    text = text.replace("\\cdot", " ").replace("\\times", " ").replace("*", " ")
-    text = text.replace("{", " ").replace("}", " ").replace("\\", " \\")
-    out = []
-    sign = 1
-    for chunk in re.split(r"(/)", text):
-        if chunk == "/":
-            sign = -1
-            continue
-        for m in re.finditer(
-            r"(\\?[a-zA-Z]+)\s*(?:\^\s*\{?\s*(-?\d+(?:/\d+)?)\s*\}?)?", chunk
-        ):
-            token = m.group(1).lstrip("\\")
-            exp = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-            out.append((token, sign * exp))
-    # a bare "mu" is a detached micro prefix: glue it onto the next token
-    glued = []
-    i = 0
-    while i < len(out):
-        tok, exp = out[i]
-        if tok in ("mu", "u") and i + 1 < len(out) and out[i + 1][0] not in ("mu", "u"):
-            nxt, nexp = out[i + 1]
-            glued.append(("mu" + nxt, nexp))
-            i += 2
-            continue
-        glued.append((tok, exp))
-        i += 1
-    return glued
-
-
-def parse_quantity(src, table: UnitTable | None = None) -> Quantity:
+def parse_quantity(text: str) -> Quantity:
     """Parse `<number> [x 10^b] [unit product]` into an SI-base Quantity."""
-    text = src if isinstance(src, str) else src.text
     text = text.strip()
-    table = table or default_table()
+    if not _UNITS:
+        bundled = resources.files("seedgrade.data").joinpath("units.tab")
+        _UNITS.update(read_table(bundled.read_text("utf-8")))
 
     m = _NUMBER_RE.search(text)
     if m is None:
         raise NoNumber(f"no numeric literal in {text!r}")
     magnitude = float(m.group(0))
     rest = text[m.end():]
-    sci = _SCI_RE.match(rest)
-    if sci:
-        magnitude *= 10.0 ** int(sci.group(1))
-        rest = rest[sci.end():]
-    elif m.group(0) == "10":
-        p = _POW10_RE.match(text)
-        if p:
-            magnitude = 10.0 ** int(p.group(1))
-            rest = text[p.end():]
+    p = _POWER_RE.match(rest)
+    if p and (p.group(1) or (m.start() == 0 and m.group(0) == "10")):
+        power = 10.0 ** int(p.group(2))
+        magnitude = magnitude * power if p.group(1) else power
+        rest = rest[p.end():]
 
+    # one scan of the unit product; a detached `\mu`/`u` prefixes the next word
     dim = [Fraction(0)] * 7
     scale = 1.0
-    for token, exp in _unit_tokens(rest):
-        tdim, tscale = table.resolve(token)
-        for i in range(7):
-            dim[i] += tdim[i] * exp
-        scale *= tscale ** float(exp)
+    sign = 1
+    micro = None
+    for slash, word, exp in _UNIT_RE.findall(re.sub(r"\\cdot|\\times|[{}*]", " ", rest)):
+        if slash:
+            sign = -1
+            continue
+        if micro:
+            if word in ("mu", "u"):
+                raise UnknownUnit(micro)
+            word, micro = "mu" + word, None
+        elif word in ("mu", "u"):
+            micro = word
+            continue
+        tdim, tscale = _resolve(word)
+        e = sign * Fraction(exp or 1)
+        dim = [d + t * e for d, t in zip(dim, tdim)]
+        scale *= tscale ** float(e)
+    if micro:
+        raise UnknownUnit(micro)
     return Quantity(magnitude=magnitude * scale, dimension=tuple(dim), si_scale=scale)
 
 

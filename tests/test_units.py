@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from seedgrade import units
 from seedgrade.errors import DimensionMismatch, NoNumber, UnknownUnit
 from seedgrade.units import (
     BASE_UNITS,
     Quantity,
-    UnitTable,
     compare_quantities,
     parse_quantity,
+    read_table,
 )
 
 
@@ -101,22 +102,23 @@ class TestCompare:
 
 
 class TestUnitTable:
-    def test_from_text(self):
-        t = UnitTable.from_text("pc = 3.0857e16 ; m\n# comment\n")
-        d, s = t.resolve("pc")
+    def test_from_text(self, monkeypatch):
+        t = read_table("pc = 3.0857e16 ; m\n# comment\n")
+        d, s = t["pc"]
         assert d == dim(m=1)
         assert s == pytest.approx(3.0857e16)
-        # prefixes compose with custom entries
-        d, s = t.resolve("kpc")
-        assert s == pytest.approx(3.0857e19)
+        # prefixes compose with the table's entries
+        monkeypatch.setattr(units, "_UNITS", t)
+        q = parse_quantity("1 kpc")
+        assert q.dimension == dim(m=1)
+        assert q.si_scale == pytest.approx(3.0857e19)
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(ValueError):
-            UnitTable.from_text("m = 1 ; m\nm = 2 ; m\n")
+            read_table("m = 1 ; m\nm = 2 ; m\n")
 
     def test_rational_exponent(self):
-        t = UnitTable.from_text("weird = 2 ; m^1/2\n")
-        d, _ = t.resolve("weird")
+        d, _ = read_table("weird = 2 ; m^1/2\n")["weird"]
         assert d == dim(m=Fraction(1, 2))
 
     def test_finite_magnitude_required(self):
