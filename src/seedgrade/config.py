@@ -51,10 +51,10 @@ class GradeConfig:
             raise ValueError("openness_penalty must lie in [0, 1]")
         if self.max_bracket_inserts < 0:
             raise ValueError("max_bracket_inserts must be nonnegative")
-        for name in ("rtol", "eval_rtol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative")
+        if not (math.isfinite(self.rtol) and self.rtol > 0):
+            raise ValueError("rtol must be finite and positive")
+        if not (math.isfinite(self.eval_rtol) and self.eval_rtol >= 0):
+            raise ValueError("eval_rtol must be finite and nonnegative")
 
     def relabel(self, a, b):
         """Edit cost of turning node a into node b."""

@@ -38,6 +38,8 @@ KIND_RANK = {
 
 CONSTANT_NAMES = ("pi", "e", "i")
 
+_OPEN = {k: k.name + "(" for k in Kind}  # the head of each node's repr
+
 
 class _NodeSlots:
     """The storage of MathNode. Its constructor and caches write these slots
@@ -109,11 +111,25 @@ class MathNode(_NodeSlots):
         return h
 
     def __repr__(self):
-        inner = "" if self.payload is None else repr(self.payload)
-        if self.children:
-            kids = ", ".join(repr(c) for c in self.children)
-            inner = f"{inner}; {kids}" if inner else kids
-        return f"{self.kind.name}({inner})"
+        # `KIND(payload; child, child)`, from an explicit stack: deep trees do not recurse
+        out = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is str:
+                out.append(node)
+                continue
+            kids = node.children
+            head = _OPEN[node.kind]
+            if node.payload is not None:
+                head += repr(node.payload) + ("; " if kids else "")
+            out.append(head if kids else head + ")")
+            if kids:
+                stack.append(")")
+                for i in range(len(kids) - 1, 0, -1):
+                    stack += (kids[i], ", ")
+                stack.append(kids[0])
+        return "".join(out)
 
     def size(self) -> int:
         return 1 + sum(c.size() for c in self.children)

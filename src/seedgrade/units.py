@@ -3,6 +3,7 @@ and relative-tolerance comparison."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,8 +13,9 @@ from .errors import DimensionMismatch, NoNumber, UnknownUnit
 
 BASE_UNITS = ("m", "kg", "s", "A", "K", "mol", "cd")
 
-# tried in this order, longest first, after an exact match fails
+# tried in this order: the exact token first, then the prefixes longest first
 PREFIXES = {
+    "": 1.0,
     "mu": 1e-6,
     "f": 1e-15,
     "p": 1e-12,
@@ -65,10 +67,7 @@ _UNITS: dict = {}
 
 
 def _resolve(token: str) -> tuple:
-    """(dimension, scale) for a unit token, trying prefixes after exact match."""
-    hit = _UNITS.get(token)
-    if hit is not None:
-        return hit
+    """(dimension, scale) of a unit token: a prefix and a table token."""
     for prefix, factor in PREFIXES.items():
         if token.startswith(prefix) and len(token) > len(prefix):
             hit = _UNITS.get(token[len(prefix):])
@@ -77,15 +76,22 @@ def _resolve(token: str) -> tuple:
     raise UnknownUnit(token)
 
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-# `\times 10^{b}` after the number, or a bare `^{b}` after a leading `10`
-_POWER_RE = re.compile(r"\s*((?:\\times|\\cdot|\*|x)\s*10\s*)?\^\s*\{?\s*([+-]?\d+)\s*\}?")
-# a unit word and its exponent, or the `/` after which exponents are negated
-_UNIT_RE = re.compile(r"(/)|\\?([a-zA-Z]+)\s*(?:\^\s*(-?\d+(?:/\d+)?))?")
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# a decimal literal, or `\frac{a}{b}` of two of them
+_NUMBER_RE = re.compile(rf"([+-]?)\\frac\s*\{{\s*({_NUM})\s*\}}\s*\{{\s*({_NUM})\s*\}}|[+-]?{_NUM}")
+# `\times 10^{b}` after the number or after `(a \pm c)`, or a bare `^{b}` after a leading `10`
+_POWER_RE = re.compile(
+    rf"\s*(?:\\pm\s*{_NUM}\s*\))?\s*((?:\\times|\\cdot|\*|x)\s*10\s*)?\^\s*\{{?\s*([+-]?\d+)\s*\}}?"
+)
+# `\pm`, the `/` after which exponents are negated, or a unit word and its exponent
+_UNIT_RE = re.compile(r"(\\pm(?![a-zA-Z]))|(/)|\\?([a-zA-Z]+)\s*(?:\^\s*(-?\d+(?:/\d+)?))?")
 
 
 def parse_quantity(text: str) -> Quantity:
-    """Parse `<number> [x 10^b] [unit product]` into an SI-base Quantity."""
+    """Parse `<number> [\\pm <number>] [x 10^b] [unit product]` into an SI-base
+    Quantity; the uncertainty after `\\pm` is dropped. A magnitude or unit
+    scale that is not finite (out of float range, a zero denominator) raises
+    NoNumber."""
     text = text.strip()
     if not _UNITS:
         bundled = resources.files("seedgrade.data").joinpath("units.tab")
@@ -94,37 +100,49 @@ def parse_quantity(text: str) -> Quantity:
     m = _NUMBER_RE.search(text)
     if m is None:
         raise NoNumber(f"no numeric literal in {text!r}")
-    magnitude = float(m.group(0))
     rest = text[m.end():]
-    p = _POWER_RE.match(rest)
-    if p and (p.group(1) or (m.start() == 0 and m.group(0) == "10")):
-        power = 10.0 ** int(p.group(2))
-        magnitude = magnitude * power if p.group(1) else power
-        rest = rest[p.end():]
+    try:
+        lead, num, den = m.groups()
+        magnitude = float(lead + num) / float(den) if num else float(m.group(0))
+        p = _POWER_RE.match(rest)
+        if p and (p.group(1) or (m.start() == 0 and m.group(0) == "10")):
+            power = 10.0 ** float(p.group(2))
+            magnitude = magnitude * power if p.group(1) else power
+            rest = rest[p.end():]
 
-    # one scan of the unit product; a detached `\mu`/`u` prefixes the next word
-    dim = [Fraction(0)] * 7
-    scale = 1.0
-    sign = 1
-    micro = None
-    for slash, word, exp in _UNIT_RE.findall(re.sub(r"\\cdot|\\times|[{}*]", " ", rest)):
-        if slash:
-            sign = -1
-            continue
+        # one scan of the unit product; a detached `\mu`/`u` prefixes the next word
+        dim = [Fraction(0)] * 7
+        scale = 1.0
+        sign = 1
+        micro = None
+        units = re.sub(r"\\cdot|\\times|[{}*]", " ", rest)
+        for pm, slash, word, exp in _UNIT_RE.findall(units):
+            if pm:
+                if scale != 1.0 or any(dim):
+                    break  # `a m \pm b m`: the uncertainty repeats the unit
+                continue  # `a \pm b m`: its digits are skipped like any others
+            if slash:
+                sign = -1
+                continue
+            if micro:
+                if word in ("mu", "u"):
+                    raise UnknownUnit(micro)
+                word, micro = "mu" + word, None
+            elif word in ("mu", "u"):
+                micro = word
+                continue
+            tdim, tscale = _resolve(word)
+            e = sign * Fraction(exp or 1)
+            dim = [d + t * e for d, t in zip(dim, tdim)]
+            scale *= tscale ** float(e)
         if micro:
-            if word in ("mu", "u"):
-                raise UnknownUnit(micro)
-            word, micro = "mu" + word, None
-        elif word in ("mu", "u"):
-            micro = word
-            continue
-        tdim, tscale = _resolve(word)
-        e = sign * Fraction(exp or 1)
-        dim = [d + t * e for d, t in zip(dim, tdim)]
-        scale *= tscale ** float(e)
-    if micro:
-        raise UnknownUnit(micro)
-    return Quantity(magnitude=magnitude * scale, dimension=tuple(dim), si_scale=scale)
+            raise UnknownUnit(micro)
+        magnitude *= scale
+    except (ArithmeticError, ValueError):  # overflow, 1/0, an exponent past the int-string limit
+        magnitude = math.inf
+    if not math.isfinite(magnitude):
+        raise NoNumber(f"no finite magnitude in {text!r}")
+    return Quantity(magnitude=magnitude, dimension=tuple(dim), si_scale=scale)
 
 
 def compare_quantities(pred: Quantity, gt: Quantity, rtol: float = 1e-2) -> bool:

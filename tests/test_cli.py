@@ -92,6 +92,16 @@ class TestRunReportCorrelate:
                      "--responses", str(tmp_path / "nope2.jsonl"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_out_of_range_ground_truth_exit_2(self, tmp_path, capsys):
+        d = tmp_path / "dataset.jsonl"
+        d.write_text(json.dumps({"id": "q1", "topic": "Others", "answer_type": "numeric",
+                                 "problem": "p", "ground_truth": r"3 \times 10^{400} \text{ m}"}) + "\n")
+        r = tmp_path / "responses.jsonl"
+        r.write_text(json.dumps({"id": "q1", "model": "m", "response": r"\boxed{3 \text{ m}}"}) + "\n")
+        assert main(["run", "--dataset", str(d), "--responses", str(r),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "no finite magnitude" in capsys.readouterr().err
+
     def test_bad_config_exit_1(self, corpus, tmp_path):
         d, r = corpus
         cfg = tmp_path / "c.cfg"

@@ -92,7 +92,7 @@ def _continued_fraction(depth):
 # predictions that raised out of grade() before the internal-error safety net
 CRASHERS = [
     pytest.param("(" * 1000 + "x" + ")" * 1000, "RecursionError", id="nested-parentheses"),
-    pytest.param(_continued_fraction(99), "RecursionError", id="continued-fraction"),
+    pytest.param(_continued_fraction(300), "RecursionError", id="continued-fraction"),
     pytest.param("3^{100000}", "ValueError", id="int-digit-limit"),
 ]
 
@@ -121,6 +121,23 @@ class TestNeverCrash:
     def test_nesting_below_the_recursion_limit_grades(self):
         # three frames per bracket level: 300 levels fit under the default limit of 1000
         assert score("(" * 300 + "x" + ")" * 300, "x", "expression").score == 100.0
+
+    def test_deep_continued_fraction_grades(self):
+        # its canonical tree's digest is the repr of 99 nested levels
+        r = score(_continued_fraction(99), "x", "expression")
+        assert 0.0 <= r.score <= 100.0
+        assert not any(d.startswith("internal-error:") for d in r.diagnostics)
+
+    @pytest.mark.parametrize("pred", [
+        r"\boxed{3 \times 10^{400} \text{ m}}",
+        r"\boxed{2 \text{ km}^{999}}",
+        r"\boxed{1e999 \text{ m}}",
+    ])
+    def test_out_of_range_quantity_is_no_number(self, pred):
+        r = score(pred, r"3 \text{ m}", "numeric")
+        assert r.score == 0.0
+        assert r.diagnostics[0].startswith("NoNumber: no finite magnitude in")
+        assert not any(d.startswith("internal-error:") for d in r.diagnostics)
 
 
 # the GF(P) modulus of the exact equivalence path
@@ -271,6 +288,7 @@ class TestConfig:
         "trials = 0\n",
         "zero_cutoff = 0\n",
         "rtol = -0.1\n",
+        "rtol = 0\n",
         "eval_rtol = nan\n",
         "eval_rtol = inf\n",
         "numeric_partial = ture\n",
@@ -288,6 +306,11 @@ class TestConfig:
         path.write_text(text)
         with pytest.raises(ValueError):
             GradeConfig.load(path)
+
+    def test_zero_rtol_rejected(self):
+        # compare_quantities needs a positive tolerance
+        with pytest.raises(ValueError, match="rtol must be finite and positive"):
+            GradeConfig(rtol=0)
 
     def test_cutoff_changes_scores(self):
         strict = GradeConfig(zero_cutoff=0.1)

@@ -78,6 +78,12 @@ class TestLoadDataset:
             load_dataset(write_jsonl(tmp_path / "d.jsonl", rows))
         assert exc.value.line == 2
 
+    def test_out_of_range_quantity_ground_truth_reports_line(self, tmp_path):
+        row = dict(GOOD_ROW, answer_type="numeric", ground_truth=r"3 \times 10^{400} \text{ m}")
+        with pytest.raises(GroundTruthInvalid, match="no finite magnitude") as exc:
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
+        assert exc.value.line == 1
+
     def test_delta_before_subscripted_symbol(self, tmp_path):
         row = dict(GOOD_ROW, ground_truth=r"\Delta T_c")
         items = load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -68,6 +70,37 @@ class TestParseQuantity:
         with pytest.raises(UnknownUnit):
             parse_quantity("3 florps")
 
+    def test_frac_of_literals(self):
+        q = parse_quantity(r"\frac{1}{2} m")
+        assert q.magnitude == 0.5
+        assert q.dimension == dim(m=1)
+        assert parse_quantity(r"-\frac{3}{4}").magnitude == -0.75
+
+    @pytest.mark.parametrize("text", [
+        r"3 \pm 0.1 m", r"(3 \pm 0.1) m", r"3 m \pm 0.1 m", r"3 \pm 0.1 \times 10^{-3} m",
+    ])
+    def test_uncertainty_dropped(self, text):
+        q = parse_quantity(text)
+        assert q.magnitude == 3.0
+        assert q.dimension == dim(m=1)
+
+    def test_uncertainty_before_power_of_ten(self):
+        q = parse_quantity(r"(3.0 \pm 0.1) \times 10^{8} m/s")
+        assert q.magnitude == pytest.approx(3e8)
+        assert q.dimension == dim(m=1, s=-1)
+
+    def test_rational_exponent_read_before_division(self):
+        q = parse_quantity(r"2 m^{1/2} K")
+        assert q.dimension == dim(m=Fraction(1, 2), K=1)
+
+    @pytest.mark.parametrize("text", [
+        r"3 \times 10^{400} m", "2 km^{999}", "1e999 m", r"\frac{1}{0} m", "2 m^{1/0}",
+        pytest.param("2 m^{" + "9" * 5000 + "}", id="exponent-past-int-string-limit"),
+    ])
+    def test_out_of_range_is_no_number(self, text):
+        with pytest.raises(NoNumber, match="no finite magnitude"):
+            parse_quantity(text)
+
 
 class TestCompare:
     def test_within_rtol(self):
@@ -124,3 +157,42 @@ class TestUnitTable:
     def test_finite_magnitude_required(self):
         with pytest.raises(ValueError):
             Quantity(float("inf"), dim())
+
+
+def _quantity_text(rng):
+    numbers = ["3", "-2.5", ".5", "6.02e23", "10", "0", "9.81", "+4", "1.5e-3",
+               r"3.0 \times 10^{8}", r"2 \cdot 10^{-3}", "10^{-3}", "4 x 10^5", "7 * 10^{2}",
+               r"\frac{1}{2}", r"-\frac{3}{4}", r"3 \pm 0.1", r"(2.0 \pm 0.1) \times 10^{3}"]
+    words = ["m", "kg", "s", "km", "mm", r"\mu m", r"\mu", "u", "um", "eV", "meV", "GeV", "J",
+             "N", "kPa", r"\Omega", r"k\Omega", "mol", "K", "MHz", "G", "mT", "min", "h", "AA",
+             "mL", "kcal", "florps", "pm", "rad", "cd", "mumol", "ns", "cm", "mg", "yr", "ly"]
+    exponents = ["", "", "", "^2", "^{-1}", "^ {3}", "^{ -2 }", "^-2", "^{1/2}", "^{-3/2}"]
+    separators = [" ", " ", "/", " / ", r" \cdot ", "*", r"\,", "", "(", ")", ","]
+    text = rng.choice(numbers) + rng.choice(separators)
+    for _ in range(rng.randint(0, 3)):
+        text += rng.choice(words) + rng.choice(exponents) + rng.choice(separators)
+    return text
+
+
+class TestGoldenQuantities:
+    """Quantities read from seeded generated texts, pinned by a sha256
+    digest: a rewrite of the reader must keep every magnitude, dimension,
+    scale and error."""
+
+    def test_digest(self):
+        rng = random.Random(2017)
+        h = hashlib.sha256()
+        read = 0
+        for _ in range(2000):
+            text = _quantity_text(rng)
+            try:
+                q = parse_quantity(text)
+                out = repr((q.magnitude, q.dimension, q.si_scale))
+                read += 1
+            except (NoNumber, UnknownUnit) as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            h.update(f"{text}\n{out}\n".encode())
+        assert (read, h.hexdigest()) == GOLDEN_QUANTITIES
+
+
+GOLDEN_QUANTITIES = (1690, "d560419aa3e16872a6083ee7dfa66d4f669e6f14028e06730104d9b1c1edb1d1")
