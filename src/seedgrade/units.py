@@ -67,7 +67,7 @@ _UNITS: dict = {}
 
 
 def _resolve(token: str) -> tuple:
-    """(dimension, scale) of a unit token: a prefix and a table token."""
+    """(dimension, scale) of a unit token: a prefix, maybe empty, and a table token."""
     for prefix, factor in PREFIXES.items():
         if token.startswith(prefix) and len(token) > len(prefix):
             hit = _UNITS.get(token[len(prefix):])
@@ -115,8 +115,8 @@ def parse_quantity(text: str) -> Quantity:
         scale = 1.0
         sign = 1
         micro = None
-        units = re.sub(r"\\cdot|\\times|[{}*]", " ", rest)
-        for pm, slash, word, exp in _UNIT_RE.findall(units):
+        product = re.sub(r"\\cdot|\\times|[{}*]", " ", rest)
+        for pm, slash, word, exp in _UNIT_RE.findall(product):
             if pm:
                 if scale != 1.0 or any(dim):
                     break  # `a m \pm b m`: the uncertainty repeats the unit
