@@ -4,7 +4,9 @@ results; only ground-truth failures raise."""
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import lru_cache
+from threading import Lock
 
 from .canon import canonical_relation
 from .config import GradeConfig
@@ -26,25 +28,37 @@ def parse_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig = Gra
         raise GroundTruthInvalid(f"ground truth {gt_raw!r} invalid: nesting too deep") from exc
 
 
-def _parse_prediction(pred_raw: str, declared: AnswerType, cfg: GradeConfig):
-    """TypedAnswer for the prediction, or (None, diagnostics) on failure.
+def _internal_error(exc: Exception) -> GradeResult:
+    return GradeResult.zero([f"internal-error:{type(exc).__name__}"])
+
+
+def _normalize_prediction(pred_raw: str, cfg: GradeConfig) -> "str | GradeResult":
+    """The normalized final answer, which is all that grading reads of a
+    prediction; or the score-0 result when none can be extracted."""
+    try:
+        segment = extract_final_answer(pred_raw)
+        return canonicalize_latex(segment, max_bracket_inserts=cfg.max_bracket_inserts).text
+    except GradingError as exc:
+        return GradeResult.zero([f"{type(exc).__name__}: {exc}"])
+    except Exception as exc:
+        return _internal_error(exc)
+
+
+def _parse_prediction(text: str, declared: AnswerType):
+    """TypedAnswer for the normalized prediction text, or (None, diagnostics)
+    on failure.
 
     A failed declared-type parse is retried as a bare expression: models
     often drop tuple parentheses or restate a lone value.
     """
     diagnostics: list = []
     try:
-        segment = extract_final_answer(pred_raw)
-        clean = canonicalize_latex(segment, max_bracket_inserts=cfg.max_bracket_inserts)
-    except GradingError as exc:
-        return None, [f"{type(exc).__name__}: {exc}"]
-    try:
-        return parse_answer(clean, declared), diagnostics
+        return parse_answer(text, declared), diagnostics
     except GradingError as exc:
         diagnostics.append(f"{type(exc).__name__}: {exc}")
     if declared is not AnswerType.EXPRESSION:
         try:
-            retried = parse_answer(clean, AnswerType.EXPRESSION)
+            retried = parse_answer(text, AnswerType.EXPRESSION)
             diagnostics.append("retried-as-expression")
             return retried, diagnostics
         except GradingError as exc:
@@ -194,15 +208,24 @@ def grade_prediction(pred_raw: str, gt: TypedAnswer, cfg: GradeConfig = GradeCon
     folded power) becomes a score-0 result with an `internal-error:<Type>`
     diagnostic, so that one prediction never aborts a batch run.
     """
+    text = _normalize_prediction(pred_raw, cfg)
+    if isinstance(text, GradeResult):
+        return text
+    return _grade_normalized(text, gt, cfg)
+
+
+def _grade_normalized(text: str, gt: TypedAnswer, cfg: GradeConfig) -> GradeResult:
+    """grade_prediction after normalization: parse, canonicalize, test
+    equivalence and score."""
     try:
-        pred, diagnostics = _parse_prediction(pred_raw, gt.answer_type, cfg)
+        pred, diagnostics = _parse_prediction(text, gt.answer_type)
         if pred is None:
             return GradeResult.zero(diagnostics)
         result = grade_parsed(pred, gt, cfg)
     except GradingError:
         raise
     except Exception as exc:
-        return GradeResult.zero([f"internal-error:{type(exc).__name__}"])
+        return _internal_error(exc)
     result.diagnostics = diagnostics + result.diagnostics
     return result
 
@@ -217,6 +240,14 @@ def _prepared_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig) 
     return parse_ground_truth(gt_raw, declared, cfg)
 
 
+# `grade`'s results, least recently used first, keyed on (normalized
+# prediction text, gt_raw, declared, cfg); the lock makes each lookup and
+# insertion one step for callers on several threads
+_GRADED_SIZE = 1024
+_graded: "OrderedDict[tuple, GradeResult]" = OrderedDict()
+_graded_lock = Lock()
+
+
 def grade(
     pred_raw: str,
     gt_raw: str,
@@ -225,15 +256,40 @@ def grade(
 ) -> GradeResult:
     """Grade one raw prediction text against one ground-truth LaTeX string.
 
-    The parsed ground truth is kept in a memo of the last 1024 distinct
-    (gt_raw, declared, cfg) keys, so a reward function or a loop over many
-    models that grades the same ground truth again pays only for the
-    prediction. `grade_run` parses each item once itself and does not use it.
-    With each ground truth the memo keeps its canonical trees and its
-    subtree table, which maps each of the ground truth's own raw subtrees to
-    its canonical form: a prediction reads it, so a subtree it shares with
-    the ground truth is not canonicalized again, and writes its own entries
-    to a copy that ends with the call. A canonical tree's size and digest
-    are computed only when read.
+    Two memos of the last 1024 distinct keys each serve a reward function or
+    a loop over many models that grades the same answers again:
+    - The parsed ground truth is kept per (gt_raw, declared, cfg), so a
+      repeated ground truth costs nothing. An invalid one raises on every
+      call. With each ground truth the memo keeps its canonical trees and
+      its subtree table, which maps each of the ground truth's own raw
+      subtrees to its canonical form: a prediction reads it, so a subtree
+      it shares with the ground truth is not canonicalized again, and
+      writes its own entries to a copy that ends with the call.
+    - The result is kept per normalized prediction text and ground-truth
+      key, so a prediction whose final answer normalizes to one already
+      graded against that ground truth costs only extraction and
+      normalization. A prediction with no extractable answer is not kept.
+      Each call returns a fresh `GradeResult` with its own lists, so a
+      caller that changes it does not change what later calls return.
+
+    `grade_run` parses each item once itself and uses neither memo. A
+    canonical tree's size and digest are computed only when read.
     """
-    return grade_prediction(pred_raw, _prepared_ground_truth(gt_raw, declared, cfg), cfg)
+    gt = _prepared_ground_truth(gt_raw, declared, cfg)
+    text = _normalize_prediction(pred_raw, cfg)
+    if isinstance(text, GradeResult):
+        return text
+    key = (text, gt_raw, declared, cfg)
+    with _graded_lock:
+        result = _graded.pop(key, None)
+    if result is None:
+        result = _grade_normalized(text, gt, cfg)
+    with _graded_lock:
+        _graded[key] = result  # now the most recently used
+        if len(_graded) > _GRADED_SIZE:
+            _graded.popitem(last=False)
+    # a copy with its own lists; the constructor costs a third of `dataclasses.replace`
+    return GradeResult(
+        result.score, result.equivalent, result.distance, result.relative_distance,
+        list(result.edit_script), list(result.diagnostics),
+    )

@@ -76,10 +76,17 @@ def _resolve(token: str) -> tuple:
     raise UnknownUnit(token)
 
 
-_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# a thousands separator: `,`, `{,}`, or a thin space (`\,`, a plain space once normalized)
+_SEP = r"(?:,|\{,\}|\\,| )"
+# a decimal literal; its integer part may be grouped by threes (`12,345,678`)
+_NUM = rf"(?:[1-9]\d{{0,2}}(?:{_SEP}\d{{3}})+(?!\d)(?:\.\d*)?|\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 # a decimal literal, or `\frac{a}{b}` of two of them
 _NUMBER_RE = re.compile(rf"([+-]?)\\frac\s*\{{\s*({_NUM})\s*\}}\s*\{{\s*({_NUM})\s*\}}|[+-]?{_NUM}")
-# `\times 10^{b}` after the number or after `(a \pm c)`, or a bare `^{b}` after a leading `10`
+# deletes the separators from a grouped literal
+_UNGROUPED = str.maketrans("", "", ",{} \\")
+# what may stand before a number that takes a bare `^{k}`: nothing, `\approx` or `\sim`
+_LEAD_RE = re.compile(r"(?:\\approx|\\sim)?\s*")
+# `\times 10^{b}` after the number or after `(a \pm c)`, or a bare `^{b}` after a leading literal
 _POWER_RE = re.compile(
     rf"\s*(?:\\pm\s*{_NUM}\s*\))?\s*((?:\\times|\\cdot|\*|x)\s*10\s*)?\^\s*\{{?\s*([+-]?\d+)\s*\}}?"
 )
@@ -89,9 +96,11 @@ _UNIT_RE = re.compile(r"(\\pm(?![a-zA-Z]))|(/)|\\?([a-zA-Z]+)\s*(?:\^\s*(-?\d+(?
 
 def parse_quantity(text: str) -> Quantity:
     """Parse `<number> [\\pm <number>] [x 10^b] [unit product]` into an SI-base
-    Quantity; the uncertainty after `\\pm` is dropped. A magnitude or unit
-    scale that is not finite (out of float range, a zero denominator) raises
-    NoNumber."""
+    Quantity; the uncertainty after `\\pm` is dropped. A leading decimal
+    literal b, after a sign, `\\approx` or `\\sim`, may take a bare `^{k}`
+    (b^k), and its integer part may be grouped by threes. A magnitude or
+    unit scale that is not finite (out of float range, a zero denominator)
+    raises NoNumber."""
     text = text.strip()
     if not _UNITS:
         bundled = resources.files("seedgrade.data").joinpath("units.tab")
@@ -103,11 +112,15 @@ def parse_quantity(text: str) -> Quantity:
     rest = text[m.end():]
     try:
         lead, num, den = m.groups()
-        magnitude = float(lead + num) / float(den) if num else float(m.group(0))
+        if num:
+            magnitude = float(lead + num.translate(_UNGROUPED)) / float(den.translate(_UNGROUPED))
+        else:
+            magnitude = float(m.group(0).translate(_UNGROUPED))
         p = _POWER_RE.match(rest)
-        if p and (p.group(1) or (m.start() == 0 and m.group(0) == "10")):
-            power = 10.0 ** float(p.group(2))
-            magnitude = magnitude * power if p.group(1) else power
+        if p and (p.group(1) or (not num and _LEAD_RE.fullmatch(text, 0, m.start()))):
+            k = float(p.group(2))
+            # a bare power takes the sign outside: `-10^{3}` is -(10^3)
+            magnitude = magnitude * 10.0 ** k if p.group(1) else math.copysign(abs(magnitude) ** k, magnitude)
             rest = rest[p.end():]
 
         # one scan of the unit product; a detached `\mu`/`u` prefixes the next word

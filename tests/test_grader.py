@@ -1,4 +1,6 @@
+import random
 import time
+from importlib import resources
 
 import pytest
 
@@ -6,7 +8,7 @@ from seedgrade import canon, grader
 from seedgrade.config import GradeConfig
 from seedgrade.errors import GroundTruthInvalid
 from seedgrade.grader import grade, parse_ground_truth
-from seedgrade.harness import BenchmarkItem, grade_run
+from seedgrade.harness import BenchmarkItem, grade_run, load_dataset, load_responses
 from seedgrade.nodes import AnswerType
 
 CFG = GradeConfig()
@@ -254,6 +256,15 @@ class TestNumeric:
         assert score(r"\boxed{3.5 \times 10^{8} \text{ m/s}}",
                      r"2.998 \times 10^{8} \text{ m/s}", "numeric").score == 0.0
 
+    @pytest.mark.parametrize("pred, gt", [
+        (r"\boxed{-10^{3} \text{ m}}", r"-1000 \text{ m}"),
+        (r"\boxed{\approx 2^{10} \text{ m}}", r"1024 \text{ m}"),
+        (r"\boxed{1\,500 \text{ m}}", r"1500 \text{ m}"),
+        (r"\boxed{1{,}500 \text{ m}}", r"1,500 \text{ m}"),
+    ])
+    def test_powers_and_thousands_separators(self, pred, gt):
+        assert score(pred, gt, "numeric").score == 100.0
+
     def test_dimension_mismatch_diagnostic(self):
         r = score(r"\boxed{1.6 \times 10^{-19} \text{ J}}",
                   r"1.6 \times 10^{-19} \text{ C}", "numeric")
@@ -361,16 +372,16 @@ class TestGroundTruthMemo:
     plans, across calls; conftest empties the memo before every test."""
 
     @pytest.mark.parametrize(
-        "pred, gt, t, cold, warm",
+        "pred, gt, t, cold, warm, again",
         [
-            (r"\boxed{x+y}", "y+x", "expression", 2, 1),
-            (r"\boxed{(1, 2, 4)}", "(1, 2, 3)", "tuple", 6, 3),
+            (r"\boxed{x+y}", "y+x", "expression", 2, 1, r"\boxed{y+x}"),
+            (r"\boxed{(1, 2, 4)}", "(1, 2, 3)", "tuple", 6, 3, r"\boxed{(1, 2, 5)}"),
         ],
     )
-    def test_warm_grade_canonicalizes_prediction_only(self, canon_calls, pred, gt, t, cold, warm):
+    def test_warm_grade_canonicalizes_prediction_only(self, canon_calls, pred, gt, t, cold, warm, again):
         score(pred, gt, t)
         assert len(canon_calls) == cold
-        score(pred, gt, t)
+        score(again, gt, t)
         assert len(canon_calls) == cold + warm
 
     @pytest.mark.parametrize(
@@ -420,7 +431,102 @@ class TestGroundTruthMemo:
         ]
         grade_run(items, [("q1", "m", r"\boxed{2x}"), ("q2", "m", r"\boxed{(1, 3)}")])
         assert grader._prepared_ground_truth.cache_info().currsize == 0
+        assert not grader._graded
 
+
+class TestResultMemo:
+    """`grade` keeps each result per normalized prediction text and
+    (gt_raw, declared, cfg), and returns a copy; conftest empties the memo
+    before every test."""
+
+    def test_repeat_builds_no_tree(self, canon_calls):
+        first = score(r"\boxed{x+2y}", "y+x", "expression")
+        built = len(canon_calls)
+        assert built == 2
+        assert score(r"\boxed{x+2y}", "y+x", "expression").to_dict() == first.to_dict()
+        assert len(canon_calls) == built
+
+    def test_same_answer_in_other_prose_graded_once(self, monkeypatch):
+        grader._prepared_ground_truth("2x", AnswerType.EXPRESSION, CFG)
+        parsed = []
+        real = grader.parse_answer
+        monkeypatch.setattr(grader, "parse_answer", lambda text, t: parsed.append(text) or real(text, t))
+        a = score(r"First we integrate, so \boxed{2x}.", "2x", "expression")
+        b = score(r"By symmetry the answer is $\boxed{2x}$", "2x", "expression")
+        assert parsed == ["2x"]
+        assert a.to_dict() == b.to_dict()
+        assert len(grader._graded) == 1
+
+    def test_changing_a_result_leaves_the_next_unchanged(self):
+        first = score(r"\boxed{x+2}", "x+1", "expression")
+        kept = first.to_dict()
+        assert kept["edit_script"] and kept["score"] < 100
+        first.score = 0.0
+        first.edit_script.clear()
+        first.diagnostics.append("changed by the caller")
+        second = score(r"\boxed{x+2}", "x+1", "expression")
+        assert second.to_dict() == kept
+        assert second.edit_script is not first.edit_script
+
+    def test_keyed_on_config(self):
+        pred, gt = r"\boxed{3.05 \text{ m}}", r"3 \text{ m}"
+        wide = GradeConfig(rtol=0.02)
+        for _ in range(2):
+            assert score(pred, gt, "numeric", wide).score == 100
+            assert score(pred, gt, "numeric").score == 0
+        assert len(grader._graded) == 2
+
+    def test_invalid_ground_truth_raises_every_call(self, monkeypatch):
+        pred, gt = r"\boxed{x+1}", "(x+1"
+        assert score(pred, gt, "expression").score == 100
+        for _ in range(3):
+            with pytest.raises(GroundTruthInvalid):
+                score(pred, gt, "expression", GradeConfig(max_bracket_inserts=0))
+        assert len(grader._graded) == 1
+
+        def invalid(*key):
+            raise GroundTruthInvalid("invalid")
+
+        # a kept result does not let a call skip the ground truth
+        monkeypatch.setattr(grader, "_prepared_ground_truth", invalid)
+        with pytest.raises(GroundTruthInvalid):
+            score(pred, gt, "expression")
+
+    def test_extraction_failure_not_kept(self):
+        assert score("", "x", "expression").diagnostics == ["EmptyResponse: no answer segment found"]
+        assert not grader._graded
+
+    def test_least_recent_evicted(self):
+        size = 1024
+        assert grader._GRADED_SIZE == size
+        for i in range(size + 1):
+            score(rf"\boxed{{{i}}}", "0", "expression")
+        assert len(grader._graded) == size
+        assert next(iter(grader._graded))[0] == "1"
+        score(r"\boxed{1}", "0", "expression")
+        score(r"\boxed{x}", "0", "expression")
+        assert [key[0] for key in grader._graded][:2] == ["3", "4"]
+        assert [key[0] for key in grader._graded][-2:] == ["1", "x"]
+
+    def test_warm_equals_cold_on_minicorpus(self):
+        data = resources.files("seedgrade.data")
+        with resources.as_file(data.joinpath("minicorpus.jsonl")) as d, \
+             resources.as_file(data.joinpath("minicorpus_responses.jsonl")) as r:
+            items = {item.id: item for item in load_dataset(d, CFG)}
+            responses = load_responses(r)
+        pairs = [(resp, items[i].ground_truth, items[i].answer_type) for i, _, resp in responses]
+        assert {t for _, _, t in pairs} == set(AnswerType)
+        cold = {}
+        for pair in pairs:
+            grader._prepared_ground_truth.cache_clear()
+            grader._graded.clear()
+            cold[pair] = grade(*pair, CFG).to_dict()
+        rng = random.Random(11)
+        for _ in range(2):
+            rng.shuffle(pairs)
+            for pair in pairs:
+                assert grade(*pair, CFG).to_dict() == cold[pair]
+        assert len(grader._graded) == len(pairs)
 
 def _canonical_nodes(node):
     stack, out = [node], []
@@ -462,7 +568,8 @@ class TestSubtreeTable:
         gt = grader._prepared_ground_truth(gt_text, AnswerType.EXPRESSION, CFG)
         if warm:
             score(r"\boxed{y}", gt_text, "expression")
-        pred, _ = grader._parse_prediction(r"\boxed{2y + \sin(x^2 + 1)}", AnswerType.EXPRESSION, CFG)
+        text = grader._normalize_prediction(r"\boxed{2y + \sin(x^2 + 1)}", CFG)
+        pred, _ = grader._parse_prediction(text, AnswerType.EXPRESSION)
         assert grader.grade_parsed(pred, gt, CFG).score < 100
         (sin_gt,) = [n for n in _canonical_nodes(gt.parts[0]._canon.root) if n.payload == "sin"]
         (sin_pred,) = [n for n in _canonical_nodes(pred.parts[0]._canon.root) if n.payload == "sin"]

@@ -93,8 +93,33 @@ class TestParseQuantity:
         q = parse_quantity(r"2 m^{1/2} K")
         assert q.dimension == dim(m=Fraction(1, 2), K=1)
 
+    @pytest.mark.parametrize("text, magnitude", [
+        (r"-10^{3} m", -1000.0), (r"2^{10} m", 1024.0), (r"\approx 10^{3} m", 1000.0),
+        (r"\sim 1.5^{2} m", 2.25), (r"-2^{-3} m", -0.125),
+    ])
+    def test_power_of_a_leading_literal(self, text, magnitude):
+        q = parse_quantity(text)
+        assert q.magnitude == magnitude
+        assert q.dimension == dim(m=1)
+
+    @pytest.mark.parametrize("text, magnitude", [
+        ("1,500 m", 1500.0), (r"1{,}500 m", 1500.0), (r"1\,500 m", 1500.0), ("1 500 m", 1500.0),
+        ("12,345,678 m", 12345678.0), ("-1,500.25 m", -1500.25), (r"\frac{3,000}{4} m", 750.0),
+    ])
+    def test_thousands_separators(self, text, magnitude):
+        q = parse_quantity(text)
+        assert q.magnitude == magnitude
+        assert q.dimension == dim(m=1)
+
+    @pytest.mark.parametrize("text, magnitude", [
+        ("1,5 m", 1.0), ("1,5000 m", 1.0), ("0,001 m", 0.0), ("1234,567 m", 1234.0),
+    ])
+    def test_other_commas_end_the_number(self, text, magnitude):
+        assert parse_quantity(text).magnitude == magnitude
+
     @pytest.mark.parametrize("text", [
         r"3 \times 10^{400} m", "2 km^{999}", "1e999 m", r"\frac{1}{0} m", "2 m^{1/0}",
+        "2^{5000} m", "0^{-1} m",
         pytest.param("2 m^{" + "9" * 5000 + "}", id="exponent-past-int-string-limit"),
     ])
     def test_out_of_range_is_no_number(self, text):
