@@ -58,16 +58,15 @@ class RunReport:
         return sum(1 for r in self.records if r["score"] == full) / len(self.records)
 
     def write(self, outdir) -> None:
+        report = render_report(self)  # raises on an empty report, before any file is made
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "items.jsonl", "w", encoding="utf-8") as fh:
             for rec in self.records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        with open(outdir / "report.txt", "w", encoding="utf-8") as fh:
-            fh.write(render_report(self))
-        with open(outdir / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(self.config, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        (outdir / "report.txt").write_text(report, encoding="utf-8")
+        config = json.dumps(self.config, sort_keys=True, indent=2) + "\n"
+        (outdir / "config.json").write_text(config, encoding="utf-8")
 
     @classmethod
     def read(cls, rundir) -> "RunReport":
@@ -159,7 +158,7 @@ def load_responses(path) -> list:
     return [(i, m, r) for (i, m), r in out.items()]
 
 
-FORK_AFTER_S = 0.05  # serial grading time after which a run splits its remaining items
+FORK_AFTER_S = 0.05  # projected serial time of the tasks left past which a run forks workers
 
 
 def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
@@ -170,25 +169,13 @@ def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     model; each distinct response text to it is graded once: grading is
     deterministic, so models that sent the same text share its result.
 
-    A run still grading after FORK_AFTER_S splits its remaining items across
-    forked worker processes, one per usable CPU (see `_grade_parallel`); the
-    records are the same as the serial loop's."""
-    start = time.perf_counter()
+    Items are graded from one task queue; forked workers join in once the
+    tasks left are projected to take over FORK_AFTER_S (see `_grade_work`)."""
     models = sorted({model for _, model, _ in responses})
     response_map = {(i, m): r for i, m, r in responses}
     work = [(item, [(model, response_map.pop((item.id, model), None)) for model in models])
             for item in items]
-    records = []
-    n = 0  # items graded serially, until the run has taken FORK_AFTER_S
-    while n < len(work) and time.perf_counter() - start <= FORK_AFTER_S:
-        records += _grade_item(*work[n], cfg)
-        n += 1
-    workers = _worker_count(len(work) - n)
-    if workers > 1:
-        records += _grade_parallel(work[n:], workers, cfg)
-    else:
-        for item, answers in work[n:]:
-            records += _grade_item(item, answers, cfg)
+    records = _grade_work(work, cfg)
     for (item_id, model), _ in sorted(response_map.items()):
         result = GradeResult.zero(["response id not in dataset"])
         records.append(_record(item_id, model, "Others", "expression", result))
@@ -226,41 +213,41 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_count(remaining: int) -> int:
-    """Processes to grade `remaining` items with: this one alone unless the
-    host has a spare CPU and this process can fork safely (forking a process
-    with other live threads can deadlock the child on a lock they held)."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return min(_usable_cpus(), remaining)
+MAX_TASKS = 1024  # tasks queued per run; 2 bytes each, so the queue fits in any pipe
 
 
-MAX_TASKS = 1024  # tasks queued for the workers; 2 bytes each, so the queue fits in any pipe
-
-
-def _tasks(work) -> list:
-    """`work`'s indices in tasks for the workers to take one at a time:
-    costliest items first, at most MAX_TASKS tasks of about equal length.
-    An item costs the length of its distinct response texts and of its
-    ground truth, and nothing when no model answered it."""
+def _tasks(work) -> tuple:
+    """`work`'s indices in at most MAX_TASKS tasks, and each task's cost: the
+    length of its items' distinct response texts and ground truths (0 for an
+    unanswered item). The cheapest answered item goes first and alone, to set
+    the rate a run projects the rest at; the rest follow costliest first."""
     costs = []
     for item, answers in work:
         texts = {text for _, text in answers if text is not None}
         costs.append(sum(map(len, texts)) + len(item.ground_truth) if texts else 0)
     order = sorted(range(len(work)), key=costs.__getitem__, reverse=True)
-    size = -(-len(order) // MAX_TASKS)
-    return [order[k:k + size] for k in range(0, len(order), size)]
+    answered = len(costs) - costs.count(0)
+    first = [[order.pop(answered - 1)]] if answered else []
+    size = len(order) // (MAX_TASKS - 1) + 1
+    tasks = first + [order[k:k + size] for k in range(0, len(order), size)]
+    return tasks, [sum(costs[i] for i in task) for task in tasks]
 
 
-def _grade_tasks(work, tasks, queue: int, cfg):
-    """Grade the tasks whose numbers this process reads from the `queue`
-    pipe until it is empty: ([(index, records)], None or (index, exception)).
-    After an item fails, only items before it are graded, so that the first
-    failing item of the run is among those the workers report."""
+def _queued(queue: int):
+    """The task numbers this process reads from the `queue` pipe until it is empty."""
+    while number := os.read(queue, 2):
+        yield int.from_bytes(number, "little")
+
+
+def _grade_tasks(work, tasks, numbers, cfg):
+    """Grade the tasks whose numbers `numbers` yields:
+    ([(index, records)], None or (index, exception)). After an item fails,
+    only items before it are graded, so that the first failing item of the
+    run is among those the processes report."""
     done: list = []
     error = None
-    while number := os.read(queue, 2):
-        for i in tasks[int.from_bytes(number, "little")]:
+    for t in numbers:
+        for i in tasks[t]:
             if error is not None and i > error[0]:
                 continue
             try:
@@ -300,26 +287,39 @@ def _error_from_json(data) -> Exception:
     return exc
 
 
-def _grade_parallel(work, workers: int, cfg) -> list:
-    """Grade `work` in `workers` processes: this one and workers - 1 forked
-    children, each pinned to its own usable CPU where the host allows it.
-    The items are queued as tasks of whole items (`_tasks`) in a pipe, and
-    each process takes the next task when it is free, so a slow CPU grades
-    fewer items and each distinct response text is still graded once per
-    item. A child sends its records back through a pipe as JSON and ends
-    with `os._exit`, never returning into the caller. Returns the records in
-    item order, as the serial loop gives them; raises the error of the first
-    item that failed, as the serial loop would. On any error, and on
-    KeyboardInterrupt, every child is killed and reaped before this returns
-    or raises."""
-    tasks = _tasks(work)
-    queue, wfd = os.pipe()
-    with os.fdopen(wfd, "wb") as out:  # at most 2 KiB into an empty pipe: never blocks
-        out.write(b"".join(t.to_bytes(2, "little") for t in range(len(tasks))))
-    affinity = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+def _grade_work(work, cfg) -> list:
+    """Grade `work` from one queue of tasks of whole items (`_tasks`) in a
+    pipe. Before each task it takes, until it forks, this process projects
+    the time the tasks left would take it alone: its time so far × cost left
+    ÷ cost graded (0 before its first task). The first time that passes
+    FORK_AFTER_S, it forks a child per other usable CPU to share the queue,
+    each process pinned to its own CPU where the host allows it; a child
+    sends its records back as JSON and ends with `os._exit`. Returns the
+    records in item order; raises the error of the first item that failed.
+    On any error or KeyboardInterrupt, every child is killed and reaped first."""
+    tasks, costs = _tasks(work)
+    queue, wfd = os.pipe()  # written raw: a buffered file adds ~0.4 MB to a forked process
+    os.write(wfd, b"".join(t.to_bytes(2, "little") for t in range(len(tasks))))
+    os.close(wfd)
+    affinity: list = []  # the CPUs this process may use, read when it pins itself
     children: dict = {}  # pid -> read end of its pipe
-    try:
-        _pin(affinity, 0)
+
+    def taken():  # the numbers of the tasks this process takes
+        start, done, left = time.perf_counter(), 0, sum(costs)
+        for n, t in enumerate(_queued(queue)):
+            if left and (done and (time.perf_counter() - start) * left / done) > FORK_AFTER_S:
+                break
+            yield t
+            done, left = done + costs[t], left - costs[t]
+        else:
+            return
+        # forking with other live threads can deadlock a child on a lock they held
+        alone = not hasattr(os, "fork") or threading.active_count() > 1
+        workers = 1 if alone else min(_usable_cpus(), len(tasks) - n)
+        if workers > 1:
+            if hasattr(os, "sched_setaffinity"):
+                affinity.extend(sorted(os.sched_getaffinity(0)))
+            _pin(affinity, 0)
         for k in range(1, workers):
             rfd, wfd = os.pipe()
             try:
@@ -333,7 +333,7 @@ def _grade_parallel(work, workers: int, cfg) -> list:
                 try:
                     os.close(rfd)
                     _pin(affinity, k)
-                    done, error = _grade_tasks(work, tasks, queue, cfg)
+                    done, error = _grade_tasks(work, tasks, _queued(queue), cfg)
                     if error is not None:
                         error = (error[0], _error_to_json(error[1]))
                     with os.fdopen(wfd, "wb") as out:
@@ -343,7 +343,11 @@ def _grade_parallel(work, workers: int, cfg) -> list:
                     os._exit(code)
             os.close(wfd)
             children[pid] = os.fdopen(rfd, "rb")
-        parts = [_grade_tasks(work, tasks, queue, cfg)]
+        yield t
+        yield from _queued(queue)
+
+    try:
+        parts = [_grade_tasks(work, tasks, taken(), cfg)]
         for pid in list(children):
             with children[pid] as reader:
                 payload = reader.read()
@@ -368,16 +372,11 @@ def _grade_parallel(work, workers: int, cfg) -> list:
                 os.sched_setaffinity(0, affinity)
             except OSError:
                 pass
-    by_index: list = [None] * len(work)
-    failures = []
-    for done, error in parts:
-        for i, records in done:
-            by_index[i] = records
-        if error is not None:
-            failures.append(error)
+    failures = [error for _, error in parts if error is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return [rec for records in by_index for rec in records]
+    done = sorted((d for part, _ in parts for d in part), key=lambda d: d[0])
+    return [rec for _, records in done for rec in records]
 
 
 def aggregate(report: RunReport, by: str) -> list:

@@ -173,13 +173,14 @@ class _Parser:
         return ParseError(self._index(), f"number of at most {limit} digits")
 
     def _subscript(self, kind: str, value) -> tuple:
-        """Glue a `_` subscript (one token or a brace group) onto a symbol."""
+        """Glue a `_` subscript (one token or a brace group) onto a symbol:
+        the symbol's name ends in the subscript's source text, spaces
+        dropped, so that distinct subscripts give distinct symbols."""
         t = self._raw()
         if t[0] != "under":
             self.peeked = t
             return kind, value
         depth = 0
-        parts = []
         while True:
             kind, sub, pos = self._raw()
             if kind == "unknown":
@@ -187,25 +188,22 @@ class _Parser:
             if kind == "long":
                 raise self._long_number()
             if kind == "lbrace":
+                if depth == 0:
+                    start = self.at
                 depth += 1
             elif depth == 0:
                 if kind not in ("sym", "const", "num"):
                     raise ParseError(self._index(), "subscript after '_'")
-                parts.append(str(sub))
+                start, end = pos, self.at
                 break
             elif kind == "rbrace":
                 depth -= 1
                 if depth == 0:
+                    end = pos
                     break
             elif kind == "eof":
                 raise ParseError(self._index(), "closing brace of subscript")
-            elif sub is not None:
-                parts.append(str(sub))
-            elif kind == "minus":
-                parts.append("-")
-            elif kind == "plus":
-                parts.append("+")
-        return "sym", f"{value}_{''.join(parts)}"
+        return "sym", f"{value}_{self.text[start:end].replace(' ', '')}"
 
     def expect(self, kind: str) -> None:
         if self.kind != kind:
@@ -453,10 +451,18 @@ def _strip_outer(text: str) -> str:
     return text
 
 
+_RELATION_RE = re.compile(r"=|\\(?:approx|sim)(?![A-Za-z])")
+
+
 def _after_top_level_eq(text: str) -> str:
-    """The text after its last `=` at bracket depth zero, if it has one."""
-    eqs = _top_level(text, "=")
-    return text[eqs[-1] + 1 :].strip() if eqs else text
+    """The text after its last `=`, `\\approx` or `\\sim` at bracket depth
+    zero, if it has one."""
+    cut = 0
+    for i in _top_level(text, "=\\"):
+        m = _RELATION_RE.match(text, i)
+        if m:
+            cut = m.end()
+    return text[cut:].strip() if cut else text
 
 
 def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:

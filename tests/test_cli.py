@@ -108,3 +108,13 @@ class TestRunReportCorrelate:
         cfg.write_text("nonsense = 5\n")
         assert main(["run", "--dataset", str(d), "--responses", str(r),
                      "--out", str(tmp_path / "o"), "--config", str(cfg)]) == 1
+
+    def test_empty_dataset_writes_nothing(self, tmp_path, capsys):
+        d = tmp_path / "dataset.jsonl"
+        r = tmp_path / "responses.jsonl"
+        d.write_text("")
+        r.write_text("")
+        out = tmp_path / "o"
+        assert main(["run", "--dataset", str(d), "--responses", str(r), "--out", str(out)]) == 2
+        assert "report is empty" in capsys.readouterr().err
+        assert not out.exists()

@@ -40,6 +40,14 @@ class TestExpression:
     def test_square_bracket_after_operand_multiplies(self):
         assert score(r"\boxed{2[x+1]}", "2x+2", "expression").score == 100.0
 
+    @pytest.mark.parametrize("pred, gt", [
+        (r"\boxed{x_{1/2}}", "x_{12}"),
+        (r"\boxed{v_{a,b}}", "v_{ab}"),
+    ])
+    def test_distinct_subscripts_are_distinct_symbols(self, pred, gt):
+        r = score(pred, gt, "expression")
+        assert not r.equivalent and r.score < 100.0
+
     def test_garbage_scores_zero(self):
         r = score("I could not solve this one, sorry!", "2x", "expression")
         assert r.score == 0.0
@@ -259,6 +267,8 @@ class TestNumeric:
     @pytest.mark.parametrize("pred, gt", [
         (r"\boxed{-10^{3} \text{ m}}", r"-1000 \text{ m}"),
         (r"\boxed{\approx 2^{10} \text{ m}}", r"1024 \text{ m}"),
+        (r"\boxed{x \approx 2^{3} \text{ m}}", r"8 \text{ m}"),
+        (r"\boxed{L \sim 2^{3} \text{ m}}", r"8 \text{ m}"),
         (r"\boxed{1\,500 \text{ m}}", r"1500 \text{ m}"),
         (r"\boxed{1{,}500 \text{ m}}", r"1,500 \text{ m}"),
     ])

@@ -447,6 +447,98 @@ class TestParallelGradeRun:
         assert forked == []
 
 
+class TestSplitRule:
+    """Which process grades what: the cheapest answered item first, in this
+    process, and workers forked only once the tasks left are projected to
+    take this process alone more than FORK_AFTER_S."""
+
+    @staticmethod
+    def _items(sizes):
+        return [BenchmarkItem(f"q{k}", "Others", AnswerType.EXPRESSION, "p",
+                              " + ".join(f"x_{j}" for j in range(n)))
+                for k, n in enumerate(sizes)]
+
+    def test_parent_grades_the_cheapest_answered_item_then_forks(self, forked, monkeypatch,
+                                                                 tmp_path):
+        items = self._items([5, 3, 8, 1, 6, 4])  # q3, the shortest, has no answer
+        responses = [(it.id, m, rf"\boxed{{{it.ground_truth} + 1}}")
+                     for it in items if it.id != "q3" for m in ("m1", "m2")]
+        serial = serial_run(monkeypatch, items, responses)
+        monkeypatch.setattr(harness, "FORK_AFTER_S", 1e-9)
+        log = tmp_path / "calls"
+        real, fixture_fork = harness.grade_prediction, os.fork
+
+        def logged(text, gt, cfg):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {text}\n")
+            return real(text, gt, cfg)
+
+        def logged_fork():
+            with open(log, "a") as fh:
+                fh.write("fork\n")
+            return fixture_fork()
+
+        monkeypatch.setattr(harness, "grade_prediction", logged)
+        monkeypatch.setattr(os, "fork", logged_fork)
+        assert grade_run(items, responses).records == serial.records
+        assert len(forked) == 2
+        lines = log.read_text().splitlines()
+        before = lines[:lines.index("fork")]
+        assert before == [f"{os.getpid()} {responses[2][2]}"]  # q1, the one distinct text
+
+    @pytest.mark.parametrize("step,forks", [(0.02, False), (0.03, True)])
+    def test_fork_only_past_the_projected_bound(self, forked, monkeypatch, step, forks):
+        # three answered items of one cost and three unanswered ones (cost 0),
+        # each graded text taking `step` seconds: the projection is 2 x step
+        # before the second task and step before the third
+        items = self._items([2, 2, 2, 1, 1, 1])
+        responses = [(it.id, "m", r"\boxed{x_0 + x_2}") for it in items[:3]]
+        serial = serial_run(monkeypatch, items, responses)
+        monkeypatch.setattr(harness, "FORK_AFTER_S", 0.05)
+        now = [0.0]
+        real = harness.grade_prediction
+
+        def timed(text, gt, cfg):
+            now[0] += step
+            return real(text, gt, cfg)
+
+        monkeypatch.setattr(harness.time, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(harness, "grade_prediction", timed)
+        assert grade_run(items, responses).records == serial.records
+        assert len(forked) == (2 if forks else 0)
+
+    def test_unanswered_item_is_never_the_first_task(self):
+        items = self._items([4, 1, 3, 2])
+        answers = [("m", r"\boxed{x}"), ("m", None), ("m", r"\boxed{x}"), ("m", r"\boxed{x}")]
+        tasks, costs = harness._tasks([(it, [a]) for it, a in zip(items, answers)])
+        assert tasks == [[3], [0], [2], [1]]
+        assert costs[-1] == 0 and 0 < costs[0] < costs[2] < costs[1]
+        unanswered = [(it, [("m", None)]) for it in items]
+        assert harness._tasks(unanswered) == ([[0], [1], [2], [3]], [0, 0, 0, 0])
+
+    def test_run_with_no_answered_item_never_forks(self, forked, monkeypatch):
+        items = self._items([3, 1, 2])
+        responses = [("ghost", "m", r"\boxed{x}")]
+        serial = serial_run(monkeypatch, items, responses)
+        report = grade_run(items, responses)
+        assert report.records == serial.records
+        assert [r["diagnostics"] for r in report.records] == \
+            [["response id not in dataset"]] + [["missing response"]] * 3
+        assert forked == []
+
+    def test_empty_run(self, forked):
+        assert harness._tasks([]) == ([], [])
+        assert grade_run([], []).records == []
+        report = grade_run([], [("q9", "m", "x")])
+        assert report.records == [{"id": "q9", "model": "m", "topic": "Others",
+                                   "answer_type": "expression", "score": 0.0,
+                                   "equivalent": False, "distance": None,
+                                   "relative_distance": None, "edit_script": [],
+                                   "diagnostics": ["response id not in dataset"]}]
+        assert report.config == GradeConfig().to_dict()
+        assert forked == []
+
+
 class TestAggregate:
     def test_groups_sorted(self):
         report = RunReport(

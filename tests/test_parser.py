@@ -46,6 +46,12 @@ class TestTokenize:
         assert parse_expression("k_x") == sym("k_x")
         assert parse_expression("T_{c}") == sym("T_c")
         assert parse(r"\varepsilon_0") == sym("varepsilon_0")
+        # the name ends in the subscript as written, spaces dropped
+        assert parse_expression("x_{1/2}") == sym("x_1/2")
+        assert parse_expression("v_{a, b}") == sym("v_a,b")
+        assert parse_expression("T_{0.50}") == sym("T_0.50")
+        assert parse_expression(r"\omega_{\alpha}") == sym("omega_\\alpha")
+        assert parse_expression("q_{ 1 2 }") == sym("q_12")
 
     @pytest.mark.parametrize("src, position", [("x + y_", 2), ("2y_", 2), ("2 x_{1", 2)])
     def test_subscript_fault_gives_token_index(self, src, position):
