@@ -9,8 +9,9 @@ of symbols, numbers and powers, the shape of large physics answers) and a
 copy 0, 1, 3 or 10 random edits away (relabel a leaf, drop a term, add a
 term), plus an unrelated tree of the same size ("far").  Each cell of the
 first table prints the best of --repeat timings of `tree_edit_distance` in
-ms, the distance, and the DP it took: "s<w>" for a strip of w diagonals,
-"full" for the full table.
+ms, the distance, the DP it took ("s<w>" for a strip of w diagonals, "full"
+for the full table), and after "t" how many keyroot tables (forest tables
+and leaf columns) its forward passes ran.
 
 The second table prints, for new polynomial trees of the same sizes, the
 µs per tree that `parse_expression` takes on the tree rendered as LaTeX,
@@ -33,6 +34,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from seedgrade import ted  # noqa: E402
 from seedgrade.canon import canonicalize, equivalent  # noqa: E402
 from seedgrade.config import GradeConfig  # noqa: E402
 from seedgrade.nodes import MathNode, add, func, mul, num, pow_, sym  # noqa: E402
@@ -83,8 +85,23 @@ def edit(rng, tree: MathNode) -> MathNode:
 def _dp(a: MathNode, b: MathNode, cfg: GradeConfig) -> str:
     ids: dict = {}
     A, B = _Annotated(a, ids), _Annotated(b, ids)
-    lo, hi, _, _ = _solve(A, B, cfg)
-    return "full" if (lo, hi) == (-len(B), len(A)) else f"s{hi - lo + 1}"
+    tables = 0
+    real = ted._forest_table, ted._leaf_column
+
+    def counted(fn):
+        def run(*args):
+            nonlocal tables
+            tables += 1
+            return fn(*args)
+        return run
+
+    ted._forest_table, ted._leaf_column = map(counted, real)
+    try:
+        lo, hi, _, _ = _solve(A, B, cfg)
+    finally:
+        ted._forest_table, ted._leaf_column = real
+    dp = "full" if (lo, hi) == (-len(B), len(A)) else f"s{hi - lo + 1}"
+    return f"{dp} t{tables}"
 
 
 def _best(fn, repeat: int) -> float:
@@ -140,7 +157,7 @@ def main() -> int:
     cfg = GradeConfig()
     rng = random.Random(args.seed)
     columns = [f"{k} edits" for k in EDITS] + ["far"]
-    print(f"{'nodes':>5} " + " ".join(f"{c:>22}" for c in columns))
+    print(f"{'nodes':>5} " + " ".join(f"{c:>29}" for c in columns))
     sizes = [int(s) for s in args.sizes.split(",")]
     for size in sizes:
         gt = polynomial(rng, size)
@@ -158,8 +175,8 @@ def main() -> int:
                 t = time.perf_counter()
                 d, _ = tree_edit_distance(pred, gt, cfg)
                 best = min(best, time.perf_counter() - t)
-            cells.append(f"{best * 1e3:8.1f} ms d={d:<3} {_dp(pred, gt, cfg):>4}")
-        print(f"{gt.size():>5} " + " ".join(f"{c:>22}" for c in cells))
+            cells.append(f"{best * 1e3:8.1f} ms d={d:<3} {_dp(pred, gt, cfg):>11}")
+        print(f"{gt.size():>5} " + " ".join(f"{c:>29}" for c in cells))
     print()
     equivalence_table(rng, sizes, args.repeat, cfg)
     return 0

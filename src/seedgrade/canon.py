@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -209,7 +210,15 @@ def _int_nth_root(x: int, n: int):
 
 
 def _rational_pow(base: Fraction, exp: Fraction):
-    """Exact value of base**exp, or None when it is irrational/complex."""
+    """Exact value of base**exp, or None when it is irrational/complex or
+    too large to fold: base**numerator(exp) has at most (bits(numerator) +
+    bits(denominator)) * |numerator(exp)| bits, and past the bits of
+    Python's int-string limit it could not even be printed.  The POW node
+    then stays, and GF(p) evaluates it in microseconds."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    bits = base.numerator.bit_length() + base.denominator.bit_length()
+    if bits * abs(exp.numerator) > limit * math.log2(10):
+        return None
     if exp.denominator == 1:
         e = exp.numerator
         if base == 0 and e < 0:

@@ -30,10 +30,31 @@ value <= K is then the exact distance.  The backtrace tests the same
 candidates in the same order and an equality holds exactly where it holds in
 the full table (a candidate on an optimal mapping is exact; any other one is
 too large in both), so the edit script is the one the full table gives.
-A table (x, y) writes td only where both nodes lie on the leftmost paths of
-x and y, so only the keyroot pairs with such a cell on the strip get a
-table, each one ends at the last row such a cell needs, and its rows before
-the strip are never iterated.
+
+The cut bound.  A mapping that maps node i of a to node j of b, or that
+passes through a cell (i, j) of any table, maps the postorder prefixes 0..i
+and 0..j into each other and the suffixes after i and j into each other.
+So it costs at least pre(i, j) + suf(i, j), the edit distances between
+those prefixes and between those suffixes as label sequences.  Both are
+filled on a strip of bound K or wider: pre by the pass that finds K
+(below), suf by the same DP on the reversed sequences.  A strip value is
+never below the true distance and is exact on every cell of an alignment
+of cost <= K, so pre + suf > K rules out every mapping of cost <= K through
+(i, j).  The other subtree pairs are live.
+
+Identical pairs.  Each node also has a structural id, interned in the same
+dict as the labels, that two subtrees share exactly when they are equal
+label for label.  A live pair of identical subtrees gets td = 0 and no
+table.  A table (x, y) writes td only where both nodes lie on the leftmost
+paths of x and y, the nodes that x and y own, so a table runs only for the
+keyroot pairs that own a live pair that is not identical, plus the root
+pair, whose table the backtrace starts from.  Each ends at the last row
+such a pair needs, and its rows before the strip are never iterated.  For
+a near miss that leaves the pairs on the paths from the roots to the
+edits: the cost follows the size of the edit, not the size of the trees.
+The strip's argument holds as it stands: a pair that gets no table reads
++inf, so every value is still the cost of some script, and a mapping of
+cost <= K maps only live pairs, each exact (an identical one is 0).
 
 K starts at the edit distance between the postorder label sequences of the
 two trees: a tree mapping is also an alignment of those sequences at the
@@ -42,19 +63,24 @@ distance itself.  That sequence distance is found the same way, on a strip
 from a bound on the (kind, label) multisets, which sends pairs that share
 few labels to the full table without a pass.  When a pass returns a value
 above K, the value is an upper bound, and the pass reruns with
-K = min(2K, value).  The full table runs instead when the strip would span more diagonals than
-STRIP_SHARE of the smaller tree's nodes (near that width the strip saves
-little and its reruns cost more; scripts/ted_ladder.py shows the switch)
-and when insert_cost or delete_cost is 0 (the strip is then unbounded).  The
-backtrace starts from the root table of the forward pass and rebuilds, on
-the same strip, the table of each subtree pair it descends into.
+K = min(2K, value).  The full table runs instead when the strip would span
+more diagonals than STRIP_SHARE of the smaller tree's nodes (near that width
+the strip saves little and its reruns cost more; scripts/ted_ladder.py
+shows the switch) and when insert_cost or delete_cost is 0 (the strip is
+then unbounded).
+
+The backtrace starts from the root table of the forward pass and rebuilds,
+on the same strip, the table of each subtree pair it descends into, unless
+the two subtrees are identical.  Every cell of their table is 0, so its
+walk takes the first candidate each time and gives a match per node, last
+node first; the backtrace appends those ops directly, or nothing without
+include_matches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
 
 from .canon import CanonicalTree, as_canonical, equivalent
 from .config import GradeConfig
@@ -87,8 +113,8 @@ class EditOp:
 
 class _Annotated:
     """Postorder arrays of one tree: nodes, kinds, interned label ids,
-    leftmost-leaf indices, paths, keyroots, and for each node the keyroot
-    whose leftmost path holds it."""
+    structural ids, leftmost-leaf indices, paths, keyroots, and for each
+    node the keyroot whose leftmost path holds it."""
 
     def __init__(self, root: MathNode, ids: dict):
         self.nodes = nodes = []
@@ -109,8 +135,20 @@ class _Annotated:
             lml.append(len(nodes) if start is None else start)
             nodes.append(n)
             paths.append(path)
-        self.kinds = [n.kind for n in self.nodes]
-        self.ids = [ids.setdefault((n.kind, n.label()), len(ids)) for n in self.nodes]
+        self.kinds = [n.kind for n in nodes]
+        self.ids = [ids.setdefault((n.kind, n.label()), len(ids)) for n in nodes]
+        # structural ids, interned in the same dict: two subtrees get the same
+        # id exactly when they are equal label for label; a leaf's is its
+        # label id, an inner node's that of (label id, children's ids)
+        self.same = same = []
+        done: list = []  # the structural ids of the subtrees whose parent is to come
+        for n, sid in zip(nodes, self.ids):
+            if n.children:
+                cut = len(done) - len(n.children)
+                sid = ids.setdefault((sid, *done[cut:]), len(ids))
+                del done[cut:]
+            done.append(sid)
+            same.append(sid)
         last_per_lml: dict = {}
         for i, l in enumerate(self.lml):
             last_per_lml[l] = i
@@ -151,18 +189,19 @@ def _label_bound(A: _Annotated, B: _Annotated, cfg: GradeConfig):
     return both * cfg.rename_cost + (da - both) * cfg.delete_cost + (db - both) * cfg.insert_cost
 
 
-def _sequence_distance(A: _Annotated, B: _Annotated, cfg: GradeConfig, lo: int, hi: int):
-    """Edit distance between the postorder label sequences of A and B over
-    the cells of the strip [lo, hi]: a lower bound on the tree distance,
-    exact when it is within the strip's bound.  Row di keeps the cell of
-    diagonal di - dj = lo + p at index p, plus a trailing +inf that the
-    first and last diagonals read as their off-strip neighbour."""
-    ida, idb, ka, kb = A.ids, B.ids, A.kinds, B.kinds
+def _sequence_distance(ida, ka, idb, kb, cfg: GradeConfig, lo: int, hi: int):
+    """Edit distance between two label sequences, given as interned ids and
+    kinds, over the cells of the strip [lo, hi]: (the distance, its rows).
+    For the postorder sequences of two trees it is a lower bound on the tree
+    distance, exact when it is within the strip's bound.  Row di keeps the
+    cell of diagonal di - dj = lo + p at index p, plus a trailing +inf that
+    the first and last diagonals read as their off-strip neighbour."""
     dc, ic = cfg.delete_cost, cfg.insert_cost
     rc, kc = cfg.rename_cost, cfg.kind_change_cost
-    n, m = len(A), len(B)
+    n, m = len(ida), len(idb)
     width = hi - lo + 1
     prow = [-(lo + p) * ic if 0 <= -(lo + p) <= m else INF for p in range(width)] + [INF]
+    rows = [prow]
     for di in range(1, n + 1):
         row = [INF] * (width + 1)
         if di <= hi:  # column 0
@@ -182,8 +221,9 @@ def _sequence_distance(A: _Annotated, B: _Annotated, cfg: GradeConfig, lo: int, 
                 c = left
             row[p] = left = c
             j += 1
+        rows.append(row)
         prow = row
-    return prow[n - m - lo], None
+    return prow[n - m - lo], rows
 
 
 def _columns(B: _Annotated, y: int, cfg: GradeConfig):
@@ -299,22 +339,47 @@ def _leaf_column(A: _Annotated, B: _Annotated, x: int, y: int, td, cfg: GradeCon
         up = c
 
 
-def _pairs(A: _Annotated, B: _Annotated, lo: int, hi: int):
+def _pairs(A: _Annotated, B: _Annotated, cfg: GradeConfig, lo: int, hi: int, k, td, seq):
     """(y, xs, lasts) for each keyroot y of B: the keyroots x of A whose
-    table (x, y) fills a td cell on the strip [lo, hi], in ascending order,
-    and for each one the last row i = last that such a cell needs.  Table
+    table (x, y) the forward pass on the strip [lo, hi] of bound k runs, in
+    ascending order, and for each one the last row i = last it needs.  Table
     (x, y) reads td only of pairs (x', y') with x' <= x and y' <= y, so B's
     keyroots can be the outer loop and each one builds its columns once.
+
     Table (x, y) fills td only on the leftmost paths of x and y, which hold
-    exactly the nodes that x and y own, so it is needed when a node i owned
-    by x and a node j owned by y lie on the strip."""
+    exactly the nodes that x and y own.  On a strip it runs only for the
+    live pairs (i, j) among those, where pre(i, j) + suf(i, j) <= k (the
+    sequence distances of the postorder prefixes up to i and j and of the
+    suffixes after them), and that are not identical; a live identical pair
+    gets td = 0 here.  The root pair always runs, since the backtrace
+    starts from its table.
+
+    seq is (plo, phi, rows), the strip of the bound pass and its rows, or
+    None.  The rows are pre when that strip holds [lo, hi]; else pre is
+    filled on [lo, hi].  suf is filled on the same strip as pre; a cell
+    off [lo, hi] is never live, since pre + suf is at least the strip's
+    bound there."""
     n, m = len(A), len(B)
     if lo <= -m and hi >= n:  # the full table: every pair, each up to its root row x
         return [(y, A.keyroots, A.keyroots) for y in B.keyroots]
-    ob = B.owner
-    need: dict = {}
-    for i, x in enumerate(A.owner):
-        need.update(zip(zip(ob[max(0, i - hi) : i - lo + 1], repeat(x)), repeat(i)))
+    if seq is None or seq[0] > lo or seq[1] < hi:
+        seq = lo, hi, _sequence_distance(A.ids, A.kinds, B.ids, B.kinds, cfg, lo, hi)[1]
+    plo, phi, pre = seq
+    suf = _sequence_distance(A.ids[::-1], A.kinds[::-1], B.ids[::-1], B.kinds[::-1], cfg, plo, phi)[1]
+    oa, ob, sa, sb = A.owner, B.owner, A.same, B.same
+    # _strip is symmetric (n - m - phi == plo), so suf's cell for (i, j) has
+    # index w - p where pre's has p = i - j - plo
+    w = phi - plo
+    need = {(m - 1, n - 1): n - 1}
+    for i in range(n):
+        row, back, x, s, tdi = pre[i + 1], suf[n - 1 - i], oa[i], sa[i], td[i]
+        for p in range(max(0, i - plo - m + 1), min(w, i - plo) + 1):
+            if row[p] + back[w - p] <= k:
+                j = i - plo - p
+                if sb[j] == s:
+                    tdi[j] = 0
+                else:
+                    need[ob[j], x] = i
     rows: dict = {}
     for (y, x), last in sorted(need.items()):
         xs, lasts = rows.setdefault(y, ([], []))
@@ -323,15 +388,16 @@ def _pairs(A: _Annotated, B: _Annotated, lo: int, hi: int):
     return [(y, xs, lasts) for y, (xs, lasts) in rows.items()]
 
 
-def _forward(A: _Annotated, B: _Annotated, cfg: GradeConfig, lo: int, hi: int):
-    """The Zhang–Shasha forward pass on the strip [lo, hi]: the root value
-    and (td, the root table), or (td, None) when b is a single node."""
+def _forward(A: _Annotated, B: _Annotated, cfg: GradeConfig, lo: int, hi: int, k, seq):
+    """The Zhang–Shasha forward pass on the strip [lo, hi] of bound k (seq
+    as in _pairs): the root value and (td, the root table), or (td, None)
+    when b is a single node."""
     n, m = len(A), len(B)
     lma, ida, ka = A.lml, A.ids, A.kinds
     rc, kc = cfg.rename_cost, cfg.kind_change_cost
     td = [[INF] * m for _ in range(n)]
     fd = None
-    for y, xs, lasts in _pairs(A, B, lo, hi):
+    for y, xs, lasts in _pairs(A, B, cfg, lo, hi, k, td, seq):
         if B.lml[y] == y:
             idy, ky = B.ids[y], B.kinds[y]
             for x, last in zip(xs, lasts):
@@ -350,16 +416,16 @@ def _forward(A: _Annotated, B: _Annotated, cfg: GradeConfig, lo: int, hi: int):
     return td[n - 1][m - 1], (td, fd)
 
 
-def _exact(run, A: _Annotated, B: _Annotated, cfg: GradeConfig, k):
-    """Run `run` on the strip of bound k, then of wider bounds, until its
-    value is within the bound and so exact: (value, lo, hi, run's state).
-    None once the strip would be wider than STRIP_SHARE of the smaller tree."""
-    n, m = len(A), len(B)
+def _exact(run, n: int, m: int, cfg: GradeConfig, k):
+    """Call run(lo, hi, k) on the strip of bound k, then of wider bounds,
+    until its value is within the bound and so exact: (value, lo, hi, run's
+    state).  None once the strip would be wider than STRIP_SHARE of the
+    smaller tree."""
     while True:
         lo, hi = _strip(n, m, k, cfg)
         if hi - lo + 1 > STRIP_SHARE * min(n, m):
             return None
-        value, state = run(A, B, cfg, lo, hi)
+        value, state = run(lo, hi, k)
         if value <= k:
             return value, lo, hi, state
         k = min(2 * k, value)
@@ -371,13 +437,21 @@ def _solve(A: _Annotated, B: _Annotated, cfg: GradeConfig):
     n, m = len(A), len(B)
     dc, ic = cfg.delete_cost, cfg.insert_cost
     if dc and ic:
-        bound = _exact(_sequence_distance, A, B, cfg, max(1, _label_bound(A, B, cfg)))
+        bound = _exact(
+            lambda lo, hi, k: _sequence_distance(A.ids, A.kinds, B.ids, B.kinds, cfg, lo, hi),
+            n, m, cfg, max(1, _label_bound(A, B, cfg)),
+        )
         if bound is not None:
-            found = _exact(_forward, A, B, cfg, max(1, bound[0]))
+            # the first pass reuses the bound pass's rows: its bound is at
+            # most the one they were found with
+            found = _exact(
+                lambda lo, hi, k: _forward(A, B, cfg, lo, hi, k, bound[1:]),
+                n, m, cfg, max(1, bound[0]),
+            )
             if found is not None:
                 _, lo, hi, (td, fd) = found
                 return lo, hi, td, fd
-    td, fd = _forward(A, B, cfg, -m, n)[1]
+    td, fd = _forward(A, B, cfg, -m, n, INF, None)[1]
     return -m, n, td, fd
 
 
@@ -411,7 +485,21 @@ def _backtrace(A, B, x, y, td, cfg, lo, hi, out, matches, fd=None):
             else:
                 jump_i, jump_j = A.lml[p] - lx, B.lml[q] - ly
                 if fd[di][dj] == fd[jump_i][jump_j] + td[p][q]:
-                    _backtrace(A, B, p, q, td, cfg, lo, hi, out, matches)
+                    if A.same[p] != B.same[q]:
+                        _backtrace(A, B, p, q, td, cfg, lo, hi, out, matches)
+                    elif matches:
+                        # an identical pair: the ops its table walk gives,
+                        # a match per node, last first, without the table
+                        out.extend(
+                            EditOp(
+                                "match",
+                                A.paths[i],
+                                A.nodes[i].label(),
+                                B.nodes[j].label(),
+                                target_path=B.paths[j],
+                            )
+                            for i, j in zip(range(p, A.lml[p] - 1, -1), range(q, B.lml[q] - 1, -1))
+                        )
                     p = A.lml[p] - 1
                     q = B.lml[q] - 1
                     continue

@@ -78,10 +78,19 @@ def _resolve(token: str) -> tuple:
 
 # a thousands separator: `,`, `{,}`, or a thin space (`\,`, a plain space once normalized)
 _SEP = r"(?:,|\{,\}|\\,| )"
-# a decimal literal; its integer part may be grouped by threes (`12,345,678`)
-_NUM = rf"(?:[1-9]\d{{0,2}}(?:{_SEP}\d{{3}})+(?!\d)(?:\.\d*)?|\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# a decimal comma: `,` or `{,}` before a run of digits that is not exactly three
+# long (a digit must follow, so the `,` inside a grouping `{,}` never matches alone)
+_COMMA = r"(?:,|\{,\})(?=\d)(?!\d{3}(?!\d))"
+# a decimal literal; its integer part may be grouped by threes (`12,345,678`),
+# or it may have a decimal comma (`1,5`, `3{,}14`)
+_NUM = (
+    rf"(?:[1-9]\d{{0,2}}(?:{_SEP}\d{{3}})+(?!\d)(?:\.\d*)?|\d+{_COMMA}\d+|\d+\.?\d*|\.\d+)"
+    r"(?:[eE][+-]?\d+)?"
+)
 # a decimal literal, or `\frac{a}{b}` of two of them
 _NUMBER_RE = re.compile(rf"([+-]?)\\frac\s*\{{\s*({_NUM})\s*\}}\s*\{{\s*({_NUM})\s*\}}|[+-]?{_NUM}")
+# finds the decimal comma of a literal; a grouped literal has none
+_COMMA_RE = re.compile(_COMMA)
 # deletes the separators from a grouped literal
 _UNGROUPED = str.maketrans("", "", ",{} \\")
 # what may stand before a number that takes a bare `^{k}`: nothing, `\approx` or `\sim`
@@ -94,13 +103,20 @@ _POWER_RE = re.compile(
 _UNIT_RE = re.compile(r"(\\pm(?![a-zA-Z]))|(/)|\\?([a-zA-Z]+)\s*(?:\^\s*(-?\d+(?:/\d+)?))?")
 
 
+def _value(literal: str) -> float:
+    """The float of a decimal literal: a decimal comma is a point, and the
+    separators of grouped digits go."""
+    return float(_COMMA_RE.sub(".", literal).translate(_UNGROUPED))
+
+
 def parse_quantity(text: str) -> Quantity:
     """Parse `<number> [\\pm <number>] [x 10^b] [unit product]` into an SI-base
     Quantity; the uncertainty after `\\pm` is dropped. A leading decimal
     literal b, after a sign, `\\approx` or `\\sim`, may take a bare `^{k}`
-    (b^k), and its integer part may be grouped by threes. A magnitude or
-    unit scale that is not finite (out of float range, a zero denominator)
-    raises NoNumber."""
+    (b^k). Its integer part may be grouped by threes, and a `,` or `{,}`
+    before a run of digits that is not three long is a decimal comma. A
+    magnitude or unit scale that is not finite (out of float range, a zero
+    denominator) raises NoNumber."""
     text = text.strip()
     if not _UNITS:
         bundled = resources.files("seedgrade.data").joinpath("units.tab")
@@ -113,9 +129,9 @@ def parse_quantity(text: str) -> Quantity:
     try:
         lead, num, den = m.groups()
         if num:
-            magnitude = float(lead + num.translate(_UNGROUPED)) / float(den.translate(_UNGROUPED))
+            magnitude = _value(lead + num) / _value(den)
         else:
-            magnitude = float(m.group(0).translate(_UNGROUPED))
+            magnitude = _value(m.group(0))
         p = _POWER_RE.match(rest)
         if p and (p.group(1) or (not num and _LEAD_RE.fullmatch(text, 0, m.start()))):
             k = float(p.group(2))

@@ -103,7 +103,8 @@ def _continued_fraction(depth):
 CRASHERS = [
     pytest.param("(" * 1000 + "x" + ")" * 1000, "RecursionError", id="nested-parentheses"),
     pytest.param(_continued_fraction(300), "RecursionError", id="continued-fraction"),
-    pytest.param("3^{100000}", "ValueError", id="int-digit-limit"),
+    # powers each within the folding budget, whose product is not
+    pytest.param(r"2^{4700} \cdot 3^{4700} \cdot 7^{3500}", "ValueError", id="int-digit-limit"),
 ]
 
 
@@ -137,6 +138,19 @@ class TestNeverCrash:
         r = score(_continued_fraction(99), "x", "expression")
         assert 0.0 <= r.score <= 100.0
         assert not any(d.startswith("internal-error:") for d in r.diagnostics)
+
+    @pytest.mark.parametrize("pred", [
+        r"\boxed{3^{100000}}", r"\boxed{3^{3000000}}", r"\boxed{2^{2^{24}}}", r"\boxed{2^{2^{32}}}",
+    ])
+    def test_power_past_the_bit_budget_stays_a_power(self, pred):
+        start = time.perf_counter()
+        r = score(pred, "x", "expression")
+        assert time.perf_counter() - start < 0.5
+        assert r.score == 0.0 and r.diagnostics == []
+        # GF(p) decides the unfolded power
+        assert score(pred, pred[7:-1], "expression").score == 100.0
+        assert score(pred, pred[7:-1] + "+1", "expression").score < 100.0
+        assert score(r"\boxed{2^{10}}", "1024", "expression").score == 100.0
 
     @pytest.mark.parametrize("pred", [
         r"\boxed{3 \times 10^{400} \text{ m}}",
@@ -271,6 +285,8 @@ class TestNumeric:
         (r"\boxed{L \sim 2^{3} \text{ m}}", r"8 \text{ m}"),
         (r"\boxed{1\,500 \text{ m}}", r"1500 \text{ m}"),
         (r"\boxed{1{,}500 \text{ m}}", r"1,500 \text{ m}"),
+        (r"\boxed{1,5 \text{ m}}", r"1.5 \text{ m}"),
+        (r"\boxed{3{,}14}", "3.14"),
     ])
     def test_powers_and_thousands_separators(self, pred, gt):
         assert score(pred, gt, "numeric").score == 100.0

@@ -28,6 +28,9 @@ CM = GradeConfig()
 SKEWED = GradeConfig(insert_cost=2, delete_cost=3, rename_cost=1, kind_change_cost=4)
 # free insertions leave the strip unbounded, so the full table must run
 FREE_INSERT = GradeConfig(insert_cost=0, delete_cost=2, rename_cost=1, kind_change_cost=2)
+# free renames: many optimal scripts tie, and subtrees that differ in labels
+# only are at distance 0 without being identical
+FREE_RENAME = GradeConfig(rename_cost=0)
 # for label_shape: a FUNCTION and a SYMBOL with the same letter share a label
 # but differ in kind, and every ADD reads "+" whatever its letter
 MIXED_KINDS = (Kind.FUNCTION, Kind.SYMBOL, Kind.ADD)
@@ -260,9 +263,9 @@ def strip_passes(monkeypatch):
     seen = []
     real = ted._forward
 
-    def spy(A, B, cfg, lo, hi):
+    def spy(A, B, cfg, lo, hi, *rest):
         seen.append((lo, hi) != (-len(B), len(A)))
-        return real(A, B, cfg, lo, hi)
+        return real(A, B, cfg, lo, hi, *rest)
 
     monkeypatch.setattr(ted, "_forward", spy)
     return seen
@@ -297,12 +300,37 @@ class TestStrip:
         assert not any(strip_passes[-len(pairs):])
         assert got == want
 
+    def test_near_misses_same_as_full_table(self, strip_passes, monkeypatch):
+        """Seeded near misses of 3-250 nodes: the pruned strip gives the full
+        table's distance, script and paths under three cost models, with and
+        without match ops."""
+        rng = random.Random(1989)
+        pairs = []
+        for t in range(200):
+            # a few large pairs, since the full table that checks them is slow
+            size = 250 if t == 0 else rng.randint(60, 200) if t % 50 == 0 else rng.randint(3, 40)
+            a = _random_tree(rng, size)
+            b = _mutate(rng, a, rng.choice((0.005, 0.01, 0.02, 0.05)))
+            pairs.append((a, b) if t % 2 else (b, a))
+        cases = [(a, b, cfg) for a, b in pairs for cfg in (CM, SKEWED, FREE_RENAME)]
+        got, on_strip = [], []
+        for a, b, cfg in cases:
+            got.append([_script(tree_edit_distance(a, b, cfg, include_matches=include))
+                        for include in (False, True)])
+            on_strip.append(strip_passes[-1])
+        assert sum(on_strip) > len(cases) / 2
+        monkeypatch.setattr(ted, "STRIP_SHARE", 0.0)
+        for n, (a, b, cfg) in enumerate(cases):
+            d, ops = _script(tree_edit_distance(a, b, cfg, include_matches=True))
+            # the walk does not depend on include_matches, only what it emits
+            assert got[n] == [(d, [o for o in ops if not o[0].startswith("match ")]), (d, ops)], n
+
     def test_free_insertions_take_the_full_table(self, strip_passes):
         for a, b in self._pairs()[:2]:
             tree_edit_distance(a, b, FREE_INSERT)
         assert strip_passes == [False, False]
 
-    def test_one_edit_fills_a_sliver(self):
+    def test_one_edit_fills_a_sliver(self, monkeypatch):
         rng = random.Random(7)
         a = _random_tree(rng, 300)
         path = []
@@ -314,7 +342,20 @@ class TestStrip:
         lo, hi, td, _ = _solve(A, B, CM)
         filled = sum(v != INF for row in td for v in row)
         assert (lo, hi) != (-len(B), len(A)) and filled < 0.1 * len(A) * len(B)
-        assert tree_edit_distance(a, b)[0] == CM.relabel(_at(a, path), sym("q"))
+        # the forest tables of the keyroot pairs that own a cell on the strip
+        listed = {(A.owner[i], B.owner[j]) for i in range(len(A))
+                  for j in range(max(0, i - hi), min(len(B), i - lo + 1))
+                  if B.lml[B.owner[j]] != B.owner[j]}
+        tables = []
+        real = ted._forest_table
+        monkeypatch.setattr(ted, "_forest_table", lambda *args: tables.append(args[2:4]) or real(*args))
+        got = _script(tree_edit_distance(a, b, include_matches=True))
+        # only the pairs on the path to the edit run a table, the others
+        # are identical or too far from any script of cost 1 or 2
+        assert len(tables) < 0.05 * len(listed)
+        assert got[0] == CM.relabel(_at(a, path), sym("q"))
+        monkeypatch.setattr(ted, "STRIP_SHARE", 0.0)
+        assert got == _script(tree_edit_distance(a, b, include_matches=True))
 
 
 class TestScoreMapping:

@@ -112,7 +112,16 @@ class TestParseQuantity:
         assert q.dimension == dim(m=1)
 
     @pytest.mark.parametrize("text, magnitude", [
-        ("1,5 m", 1.0), ("1,5000 m", 1.0), ("0,001 m", 0.0), ("1234,567 m", 1234.0),
+        ("1,5 m", 1.5), ("1,5000 m", 1.5), (r"3{,}14 m", 3.14), ("-0,25 m", -0.25),
+        ("1,5e3 m", 1500.0), (r"\frac{1,5}{3} m", 0.5),
+    ])
+    def test_decimal_comma(self, text, magnitude):
+        q = parse_quantity(text)
+        assert q.magnitude == magnitude
+        assert q.dimension == dim(m=1)
+
+    @pytest.mark.parametrize("text, magnitude", [
+        ("0,001 m", 0.0), ("1234,567 m", 1234.0),
     ])
     def test_other_commas_end_the_number(self, text, magnitude):
         assert parse_quantity(text).magnitude == magnitude
