@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import time
 from importlib import resources
@@ -600,3 +602,107 @@ class TestSubtreeTable:
         (sin_gt,) = [n for n in _canonical_nodes(gt.parts[0]._canon.root) if n.payload == "sin"]
         (sin_pred,) = [n for n in _canonical_nodes(pred.parts[0]._canon.root) if n.payload == "sin"]
         assert sin_pred is sin_gt
+
+
+def _seeded_pairs(seed: int) -> list:
+    """(prediction, ground truth, type) triples of all five answer types:
+    each ground truth against a copy, a rearrangement, a one-symbol change
+    and an unrelated answer of its type."""
+    rng = random.Random(seed)
+    leaves = ["x", "y", "m", r"\alpha", "2", "3", r"\pi", r"\hbar"]
+
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.25:
+            return rng.choice(leaves)
+        a, b = expr(depth - 1), expr(depth - 1)
+        return rng.choice([
+            f"{a} + {b}", f"{a} - {b}", rf"{a} \cdot {b}", rf"\frac{{{a}}}{{{b}}}",
+            rf"\sin({a})", f"({a})^{{2}}", rf"\sqrt{{{a}}}",
+        ])
+
+    def changed(text):
+        return text.replace("x", "z", 1) if "x" in text else text + " + z"
+
+    out = []
+    for _ in range(16):
+        a, b = expr(4), expr(3)
+        gt = f"{a} + {b}"
+        for pred in (gt, f"{b} + {a}", f"2 ({a}) - ({a}) + {b}", changed(gt), expr(3)):
+            out.append((rf"\boxed{{{pred}}}", gt, "expression"))
+        gt = f"{a} = {b}"
+        for pred in (gt, f"{b} = {a}", f"{a} < {b}", changed(gt), f"{expr(2)} = {expr(2)}"):
+            out.append((rf"\boxed{{{pred}}}", gt, "equation"))
+        c = expr(2)
+        gt = f"({a}, {b}, {c})"
+        for pred in (gt, f"({a}, {changed(b)}, {c})", f"({a}, {b})", a, f"({c}, {b}, {a})"):
+            out.append((rf"\boxed{{{pred}}}", gt, "tuple"))
+        gt = f"({a}, {b}]"
+        for pred in (gt, f"[{a}, {b}]", f"({a}, {changed(b)}]", f"({b}, {a})", f"[{expr(2)}, {c})"):
+            out.append((rf"\boxed{{{pred}}}", gt, "interval"))
+        v, k = rng.randint(11, 99) / 10, rng.randint(-5, 9)
+        unit = rng.choice(["m/s", "J", "kg", "m"])
+        gt = rf"{v} \times 10^{{{k}}} \text{{ {unit} }}"
+        for pred in (
+            gt, rf"{v * 1.003:.4f} \times 10^{{{k}}} \text{{ {unit} }}",
+            rf"{v * 1.2:.3f} \times 10^{{{k}}} \text{{ {unit} }}",
+            rf"{v} \times 10^{{{k}}} \text{{ C }}", expr(1),
+        ):
+            out.append((rf"\boxed{{{pred}}}", gt, "numeric"))
+    return out
+
+
+# one pair for each diagnostic path that grading can end on
+DIAGNOSTIC_PAIRS = [
+    (r"\boxed{m c^2}", "E = m c^2", "equation"),  # type mismatch
+    (r"\boxed{(1, 2)}", "(0, L)", "interval"),  # type mismatch
+    (r"\boxed{x}", r"3 \text{ m}", "numeric"),  # type mismatch
+    (r"\boxed{1}", "(1, 2)", "tuple"),  # retried-as-expression
+    (r"\boxed{(1, 2)}", "(1, 2, 3)", "tuple"),  # tuple length mismatch
+    (r"\boxed{[0, L)}", "(0, L)", "interval"),  # interval openness
+    (r"\boxed{T \le T_c}", "T < T_c", "equation"),  # relation-direction-mismatch
+    (r"\boxed{y = \frac{1}{\sin(0)}}", "y = 1", "equation"),  # equivalence-inconclusive
+    ("(" * 1000 + "x" + ")" * 1000, "x", "expression"),  # internal-error:RecursionError
+]
+
+
+def _minicorpus():
+    data = resources.files("seedgrade.data")
+    with resources.as_file(data.joinpath("minicorpus.jsonl")) as d, \
+         resources.as_file(data.joinpath("minicorpus_responses.jsonl")) as r:
+        return load_dataset(d, CFG), load_responses(r)
+
+
+class TestGoldenRecords:
+    """Digests of the records that `grade()` and `grade_run` give on the
+    minicorpus, on seeded pairs of all five types and on one pair for each
+    diagnostic path. A change that moves a digest changes some record."""
+
+    def test_grade_records(self):
+        items, responses = _minicorpus()
+        by_id = {item.id: item for item in items}
+        pairs = [(resp, by_id[i].ground_truth, by_id[i].answer_type.value) for i, _, resp in responses]
+        pairs += _seeded_pairs(21) + DIAGNOSTIC_PAIRS
+        h = hashlib.sha256()
+        for pred, gt, t in pairs:
+            h.update(json.dumps([pred, gt, t, score(pred, gt, t).to_dict()], sort_keys=True).encode())
+        assert h.hexdigest() == GOLDEN_RECORDS[0]
+
+    def test_grade_run_records(self):
+        items, responses = _minicorpus()
+        pairs = _seeded_pairs(21) + DIAGNOSTIC_PAIRS
+        gts = sorted({(gt, t) for _, gt, t in pairs})
+        ids = {key: f"g{n:03d}" for n, key in enumerate(gts)}
+        items += [BenchmarkItem(ids[gt, t], "Others", AnswerType(t), "p", gt) for gt, t in gts]
+        seen: dict = {}
+        for pred, gt, t in pairs:
+            n = seen[gt, t] = seen.get((gt, t), 0) + 1
+            responses.append((ids[gt, t], f"model-{n}", pred))
+        report = grade_run(items, responses, CFG)
+        h = hashlib.sha256(json.dumps(report.records, sort_keys=True).encode())
+        assert h.hexdigest() == GOLDEN_RECORDS[1]
+
+
+GOLDEN_RECORDS = (
+    "3991576ef6c2a9bef97da615b09afe86c866ee0e124cf42db703045de85dd85e",
+    "94380ed52f8be1846e08e80d85a6a1142051d488ad766bf535294f95ae2943de",
+)
