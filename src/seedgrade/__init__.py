@@ -7,10 +7,10 @@ distance -> score in [0, 100].
 
 from .config import GradeConfig
 from .errors import GradingError
-from .grader import grade, parse_ground_truth
+from .grader import GradeResult, grade, parse_ground_truth, seed_score
 from .harness import grade_run, load_dataset, load_responses, spearman
 from .nodes import AnswerType, Kind, MathNode
-from .ted import GradeResult, seed_score, tree_edit_distance
+from .ted import tree_edit_distance
 
 __all__ = [
     "AnswerType",

@@ -23,9 +23,11 @@ with their constants converted once), its size and its digest on first use
 and keeps them.
 
 Canonicalization goes through a subtree table, a dict from raw subtrees to
-their canonical forms (see _rewrite). A ground truth keeps its table as long
-as it is parsed; a prediction reads a copy, so a subtree that it shares
-with the ground truth is rewritten once per ground truth.
+their canonical forms (see _rewrite). Nothing here keeps a table or a
+canonical tree: the grader's canonicalize stage (grader.grade_parsed) keeps
+a ground truth's table and trees on its TypedAnswer, and canonicalizes each
+prediction through one copy of that table, so a subtree that a prediction
+shares with its ground truth is rewritten once per ground truth.
 """
 
 from __future__ import annotations
@@ -41,18 +43,8 @@ import mpmath
 
 from .config import GradeConfig
 from .errors import Inconclusive, NotARelation
-from .nodes import (
-    KIND_RANK,
-    Kind,
-    MathNode,
-    num,
-    relation,
-    set_canon,
-    set_key,
-)
+from .nodes import KIND_RANK, ONE, ZERO, Kind, MathNode, num, relation, set_key
 
-ZERO = num(0)
-ONE = num(1)
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -349,26 +341,13 @@ def _rewrite(node: MathNode, table: "dict | None" = None) -> MathNode:
     return c
 
 
-def _canonical_tree(root: MathNode) -> CanonicalTree:
-    """Wrap a tree that is already canonical (a fixed point of _rewrite)."""
-    return CanonicalTree(root)
-
-
 def canonicalize(node: MathNode, table: "dict | None" = None) -> CanonicalTree:
-    return _canonical_tree(_rewrite(node, table))
+    return CanonicalTree(_rewrite(node, table))
 
 
-def as_canonical(tree, table: "dict | None" = None) -> CanonicalTree:
-    """The tree itself if already canonical, else its canonical form, which
-    is computed once per node (through `table`, see _rewrite) and kept on
-    it."""
-    if isinstance(tree, CanonicalTree):
-        return tree
-    c = tree._canon
-    if not isinstance(c, CanonicalTree):
-        c = canonicalize(tree, table)
-        set_canon(tree, c)
-    return c
+def as_canonical(tree) -> CanonicalTree:
+    """The tree itself if already canonical, else its canonical form."""
+    return tree if isinstance(tree, CanonicalTree) else canonicalize(tree)
 
 
 # --- relations ---------------------------------------------------------------
@@ -431,15 +410,11 @@ def standardize_relation(node: MathNode, table: "dict | None" = None) -> MathNod
 
 
 def canonical_relation(node: MathNode, table: "dict | None" = None) -> tuple:
-    """(operator, canonical f) of the relation standardized as `f # 0`,
-    computed once per node (through `table`, see _rewrite) and kept on it."""
-    c = node._canon
-    if not isinstance(c, tuple):
-        s = standardize_relation(node, table)
-        # built by the canonical constructors, so rewriting it again is a no-op
-        c = (s.payload, _canonical_tree(s.children[0]))
-        set_canon(node, c)
-    return c
+    """(operator, canonical f) of the relation standardized as `f # 0`; the
+    sides are canonicalized through `table` (see _rewrite)."""
+    s = standardize_relation(node, table)
+    # built by the canonical constructors, so rewriting it again is a no-op
+    return s.payload, CanonicalTree(s.children[0])
 
 
 # --- evaluation --------------------------------------------------------------

@@ -5,17 +5,98 @@ results; only ground-truth failures raise."""
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import lru_cache
 from threading import Lock
 
-from .canon import canonical_relation
+from .canon import as_canonical, canonical_relation, canonicalize, equivalent
 from .config import GradeConfig
-from .errors import DimensionMismatch, GradingError, GroundTruthInvalid
+from .errors import DimensionMismatch, GradingError, GroundTruthInvalid, Inconclusive
 from .nodes import AnswerType, Kind, MathNode, TypedAnswer
 from .parser import parse_answer
 from .preprocess import canonicalize_latex, extract_final_answer
-from .ted import GradeResult, distance_to_score, seed_score
+from .ted import tree_edit_distance
 from .units import compare_quantities
+
+
+@dataclass
+class GradeResult:
+    score: float
+    equivalent: bool
+    distance: float
+    relative_distance: float
+    edit_script: list = field(default_factory=list)
+    diagnostics: list = field(default_factory=list)
+
+    @classmethod
+    def zero(cls, diagnostics) -> "GradeResult":
+        return cls(
+            score=0.0,
+            equivalent=False,
+            distance=float("inf"),
+            relative_distance=float("inf"),
+            diagnostics=list(diagnostics),
+        )
+
+    @classmethod
+    def full(cls, cfg: GradeConfig, diagnostics) -> "GradeResult":
+        return cls(
+            score=cfg.max_score,
+            equivalent=True,
+            distance=0,
+            relative_distance=0.0,
+            diagnostics=list(diagnostics),
+        )
+
+    def to_dict(self) -> dict:
+        d = float(self.distance)
+        return {
+            "score": round(self.score, 6),
+            "equivalent": self.equivalent,
+            "distance": d if d == d and abs(d) != float("inf") else None,
+            "relative_distance": (
+                round(self.relative_distance, 6)
+                if abs(self.relative_distance) != float("inf")
+                else None
+            ),
+            "edit_script": [str(op) for op in self.edit_script],
+            "diagnostics": list(self.diagnostics),
+        }
+
+
+def distance_to_score(distance, gt_size: int, cfg: GradeConfig = GradeConfig()) -> float:
+    """Linear partial credit: 100 at distance 0, 0 at relative distance >= cutoff."""
+    if gt_size < 1:
+        raise ValueError("ground-truth size must be >= 1")
+    r = distance / gt_size
+    score = cfg.max_score * max(0.0, 1.0 - r / cfg.zero_cutoff)
+    return min(cfg.max_score, max(0.0, score))
+
+
+def seed_score(pred, gt, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+    """Full credit on semantic equivalence, else edit-distance partial credit.
+
+    pred and gt are CanonicalTrees, as grade_parsed builds them, or raw
+    MathNodes, which are canonicalized here. The canonical trees feed both
+    the equivalence check and the edit distance.
+    """
+    cp, cg = as_canonical(pred), as_canonical(gt)
+    diagnostics: list = []
+    try:
+        if equivalent(cp, cg, cfg):
+            return GradeResult.full(cfg, diagnostics)
+    except Inconclusive:
+        diagnostics.append("equivalence-inconclusive: falling back to tree distance")
+    distance, ops = tree_edit_distance(cp.root, cg.root, cfg)
+    score = distance_to_score(distance, cg.size, cfg)
+    return GradeResult(
+        score=score,
+        equivalent=False,
+        distance=distance,
+        relative_distance=distance / cg.size,
+        edit_script=ops,
+        diagnostics=diagnostics,
+    )
 
 
 def parse_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig = GradeConfig()) -> TypedAnswer:
@@ -66,19 +147,12 @@ def _parse_prediction(text: str, declared: AnswerType):
     return None, diagnostics
 
 
-def grade_equation(
-    pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig(), table: "dict | None" = None
-) -> GradeResult:
-    """Score on the standardized `f # 0` forms: equivalent sides under the same
-    relation score full credit, anything else is graded on the sides. gt is
-    standardized first, through `table` (as in seed_score), and pred through
-    a copy of it."""
-    if pred.kind is not Kind.RELATION:
-        return GradeResult.zero(["TypeMismatch: prediction is not an equation"])
-    if table is None:
-        table = {}
-    op_g, cg = canonical_relation(gt, table)
-    op_p, cp = canonical_relation(pred, dict(table))
+def _grade_relation(pred: tuple, gt: tuple, cfg: GradeConfig) -> GradeResult:
+    """Score two relations on their standardized `(op, f)` forms (`f # 0`):
+    equivalent sides under the same relation score full credit, anything
+    else is graded on the sides."""
+    op_p, cp = pred
+    op_g, cg = gt
     result = seed_score(cp, cg, cfg)
     if op_p == op_g and result.equivalent:
         return GradeResult.full(cfg, ["equation-equivalent"])
@@ -94,28 +168,28 @@ def grade_equation(
     return result
 
 
-def _grade_parts(pred_parts: list, gt_parts: list, cfg: GradeConfig, table: dict) -> GradeResult:
-    n = max(len(pred_parts), len(gt_parts))
+def _grade_parts(pred: tuple, gt: tuple, lengths: tuple, cfg: GradeConfig) -> GradeResult:
+    """Score tuple parts by position, averaged over the longer tuple. pred and
+    gt are the canonical trees of the parts both have; `lengths` are the
+    part counts of the prediction and the ground truth."""
+    n = max(lengths)
     scores = []
     scripts = []
     diagnostics = []
-    all_equiv = len(pred_parts) == len(gt_parts)
+    all_equiv = lengths[0] == lengths[1]
     total_distance = 0.0
-    for i in range(n):
-        if i >= len(pred_parts) or i >= len(gt_parts):
-            scores.append(0.0)
-            diagnostics.append(f"component {i}: missing")
-            continue
-        r = seed_score(pred_parts[i], gt_parts[i], cfg, table)
+    for i, (p, g) in enumerate(zip(pred, gt)):
+        r = seed_score(p, g, cfg)
         scores.append(r.score)
         scripts.extend(r.edit_script)
         total_distance += float(r.distance)
         all_equiv = all_equiv and r.equivalent
         diagnostics.extend(f"component {i}: {d}" for d in r.diagnostics)
-    if len(pred_parts) != len(gt_parts):
-        diagnostics.append(
-            f"length mismatch: {len(pred_parts)} vs {len(gt_parts)}, averaged over {n}"
-        )
+    for i in range(len(pred), n):
+        scores.append(0.0)
+        diagnostics.append(f"component {i}: missing")
+    if lengths[0] != lengths[1]:
+        diagnostics.append(f"length mismatch: {lengths[0]} vs {lengths[1]}, averaged over {n}")
     score = sum(scores) / n
     return GradeResult(
         score=score,
@@ -127,16 +201,11 @@ def _grade_parts(pred_parts: list, gt_parts: list, cfg: GradeConfig, table: dict
     )
 
 
-def grade_interval(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
-    pnode = pred.parts[0]
-    gnode = gt.parts[0]
-    if pnode.kind is not Kind.INTERVAL:
-        return GradeResult.zero(["TypeMismatch: prediction is not an interval"])
-    lo = seed_score(pnode.children[0], gnode.children[0], cfg, gt.subtrees)
-    hi = seed_score(pnode.children[1], gnode.children[1], cfg, gt.subtrees)
-    mismatched = sum(
-        1 for a, b in zip(pnode.payload, gnode.payload) if a != b
-    )
+def _grade_interval(pred: tuple, gt: tuple, mismatched: int, cfg: GradeConfig) -> GradeResult:
+    """Score an interval on its two endpoints' canonical trees, with a penalty
+    for each of the `mismatched` endpoints whose openness differs."""
+    lo = seed_score(pred[0], gt[0], cfg)
+    hi = seed_score(pred[1], gt[1], cfg)
     factor = 1.0 - cfg.openness_penalty * mismatched / 2
     score = (lo.score + hi.score) / 2 * factor
     diagnostics = list(lo.diagnostics) + list(hi.diagnostics)
@@ -178,26 +247,62 @@ def grade_numeric(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeCo
     return GradeResult.zero(diagnostics)
 
 
-def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
-    """Grade a parsed prediction; the ground truth's trees are canonicalized
-    through its subtree table `gt.subtrees`, which the prediction reads."""
-    t = gt.answer_type
-    if t is AnswerType.EXPRESSION:
-        if pred.answer_type is AnswerType.EXPRESSION:
-            return seed_score(pred.parts[0], gt.parts[0], cfg, gt.subtrees)
-        return GradeResult.zero(["TypeMismatch: expected an expression"])
+def _canonical_forms(nodes: tuple, t: AnswerType, table: dict) -> tuple:
+    """The canonical forms of nodes through `table`; an equation's are
+    standardized `(op, f)` pairs."""
     if t is AnswerType.EQUATION:
-        return grade_equation(pred.parts[0], gt.parts[0], cfg, gt.subtrees)
-    if t is AnswerType.TUPLE:
-        # a lone expression is graded as a 1-part tuple (positional)
-        return _grade_parts(list(pred.parts), list(gt.parts), cfg, gt.subtrees)
-    if t is AnswerType.INTERVAL:
-        if pred.answer_type is not AnswerType.INTERVAL:
-            return GradeResult.zero(["TypeMismatch: expected an interval"])
-        return grade_interval(pred, gt, cfg)
+        return tuple(canonical_relation(r, table) for r in nodes)
+    return tuple(canonicalize(n, table) for n in nodes)
+
+
+def _compared_trees(pred: TypedAnswer, gt: TypedAnswer) -> tuple:
+    """The canonicalize stage. The trees that grading compares are the parts,
+    or an interval's two endpoints; this gives the canonical forms of the
+    first k of them of pred and of gt, k the smaller count. The ground
+    truth's are built through its subtree table `gt.subtrees` on first use
+    and kept in `gt.trees`; the prediction's through one copy of that table,
+    which ends with the call, so a subtree it shares with gt is not
+    rewritten again."""
+    t = gt.answer_type
+    p, g = (a.parts[0].children if t is AnswerType.INTERVAL else a.parts for a in (pred, gt))
+    k = min(len(p), len(g))
+    kept = gt.trees
+    if len(kept) < k:
+        kept = gt.trees = kept + _canonical_forms(g[len(kept):k], t, gt.subtrees)
+    return _canonical_forms(p[:k], t, dict(gt.subtrees)), kept[:k]
+
+
+def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+    """Grade a parsed prediction: check its type against the ground truth's,
+    canonicalize both (_compared_trees, the one place that canonicalizes),
+    then score the canonical trees."""
+    t = gt.answer_type
     if t is AnswerType.NUMERIC:
         return grade_numeric(pred, gt, cfg)
-    raise AssertionError(t)
+    if t is AnswerType.EXPRESSION and pred.answer_type is not AnswerType.EXPRESSION:
+        return GradeResult.zero(["TypeMismatch: expected an expression"])
+    if t is AnswerType.EQUATION and pred.parts[0].kind is not Kind.RELATION:
+        return GradeResult.zero(["TypeMismatch: prediction is not an equation"])
+    if t is AnswerType.INTERVAL and pred.answer_type is not AnswerType.INTERVAL:
+        return GradeResult.zero(["TypeMismatch: expected an interval"])
+    p, g = _compared_trees(pred, gt)
+    if t is AnswerType.EQUATION:
+        return _grade_relation(p[0], g[0], cfg)
+    if t is AnswerType.TUPLE:
+        # a lone expression is graded as a 1-part tuple (positional)
+        return _grade_parts(p, g, (len(pred.parts), len(gt.parts)), cfg)
+    if t is AnswerType.INTERVAL:
+        openness = zip(pred.parts[0].payload, gt.parts[0].payload)
+        return _grade_interval(p, g, sum(a != b for a, b in openness), cfg)
+    return seed_score(p[0], g[0], cfg)
+
+
+def grade_equation(pred: MathNode, gt: MathNode, cfg: GradeConfig = GradeConfig()) -> GradeResult:
+    """Grade one raw relation against another, as grade_parsed grades
+    equations."""
+    return grade_parsed(
+        TypedAnswer(AnswerType.EQUATION, (pred,)), TypedAnswer(AnswerType.EQUATION, (gt,)), cfg
+    )
 
 
 def grade_prediction(pred_raw: str, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
@@ -232,9 +337,10 @@ def _grade_normalized(text: str, gt: TypedAnswer, cfg: GradeConfig) -> GradeResu
 
 @lru_cache(maxsize=1024)
 def _prepared_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig) -> TypedAnswer:
-    """The parsed ground truth, kept for `grade` across calls. Its canonical
-    trees and evaluation plans are filled on first use and kept on its nodes,
-    and its subtree table on it, so a hit skips every ground-truth stage. An
+    """The parsed ground truth, kept for `grade` across calls. The
+    canonicalize stage keeps its canonical trees (with their evaluation
+    plans) and its subtree table on it, so a hit skips every ground-truth
+    stage. An
     invalid ground truth raises and is not kept. 1024 entries hold a whole
     CMPhysBench run."""
     return parse_ground_truth(gt_raw, declared, cfg)
@@ -260,11 +366,13 @@ def grade(
     a loop over many models that grades the same answers again:
     - The parsed ground truth is kept per (gt_raw, declared, cfg), so a
       repeated ground truth costs nothing. An invalid one raises on every
-      call. With each ground truth the memo keeps its canonical trees and
-      its subtree table, which maps each of the ground truth's own raw
-      subtrees to its canonical form: a prediction reads it, so a subtree
-      it shares with the ground truth is not canonicalized again, and
-      writes its own entries to a copy that ends with the call.
+      call. With each ground truth the memo keeps what grade_parsed's
+      canonicalize stage keeps on it: its canonical trees
+      (`TypedAnswer.trees`) and its subtree table (`TypedAnswer.subtrees`),
+      which maps each of the ground truth's own raw subtrees to its
+      canonical form. A prediction is canonicalized through one copy of
+      that table per grade, so a subtree it shares with the ground truth
+      is not canonicalized again, and the copy ends with the call.
     - The result is kept per normalized prediction text and ground-truth
       key, so a prediction whose final answer normalizes to one already
       graded against that ground truth costs only extraction and

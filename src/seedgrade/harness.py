@@ -15,9 +15,8 @@ from pathlib import Path
 from . import errors
 from .config import GradeConfig
 from .errors import DegenerateInput, GradingError, GroundTruthInvalid, SchemaError
-from .grader import grade_prediction, parse_ground_truth
+from .grader import GradeResult, grade_prediction, parse_ground_truth
 from .nodes import AnswerType
-from .ted import GradeResult
 
 TOPICS = (
     "Magnetism",
@@ -165,8 +164,8 @@ def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     """Grade every (item, model) pair. Items a model never answered score 0;
     responses without a matching item are recorded with a diagnostic. Each
     answered item's ground truth is parsed once, and its trees are
-    canonicalized (an equation standardized) once and kept on them for every
-    model; each distinct response text to it is graded once: grading is
+    canonicalized (an equation standardized) once and kept on it for every
+    model (see grader.grade_parsed); each distinct response text to it is graded once: grading is
     deterministic, so models that sent the same text share its result.
 
     Items are graded from one task queue; forked workers join in once the

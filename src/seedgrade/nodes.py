@@ -46,23 +46,25 @@ class _NodeSlots:
     through their descriptors, which MathNode's __setattr__ guard does not
     see, at about half the cost of object.__setattr__."""
 
-    __slots__ = ("kind", "payload", "children", "_hash", "_key", "_canon")
+    __slots__ = ("kind", "payload", "children", "_hash", "_key")
 
 
 _set_kind = _NodeSlots.kind.__set__
 _set_payload = _NodeSlots.payload.__set__
 _set_children = _NodeSlots.children.__set__
 _set_hash = _NodeSlots._hash.__set__
-# canon fills these two caches, once per node
+# canon.sort_key fills this cache, once per node
 set_key = _NodeSlots._key.__set__
-set_canon = _NodeSlots._canon.__set__
 
 
 class MathNode(_NodeSlots):
     """Immutable tagged tree node.
 
-    Nodes are shared (the ground-truth memo, the sort-key and canonical-form
-    caches), so assigning any attribute raises AttributeError.
+    Nodes are shared (a ground truth's subtree table hands its canonical
+    subtrees to every prediction graded against it, and `grade` keeps
+    parsed ground truths across calls), so assigning any attribute raises
+    AttributeError. A node caches its hash and its canonical sort key; its
+    canonical form is kept by whoever asked for it, not on the node.
 
     payload depends on kind:
       NUMBER    -> Fraction (exact, nonzero denominator)
@@ -83,8 +85,6 @@ class MathNode(_NodeSlots):
         _set_children(self, children if children.__class__ is tuple else tuple(children))
         _set_hash(self, None)
         set_key(self, None)  # canon.sort_key, filled on first use
-        # canon.as_canonical (or canon.canonical_relation), filled on first use
-        set_canon(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MathNode is immutable")
@@ -216,19 +216,24 @@ class AnswerType(Enum):
 class TypedAnswer:
     """An answer tagged with one of the five grading types.
 
-    `subtrees` maps each raw subtree of the parts to its canonical form. It
-    is filled when the answer is graded against as a ground truth, lives as
-    long as the answer, and is read by every prediction graded against it
-    (see canon._rewrite).
+    Two slots are filled when the answer is graded against as a ground
+    truth (see grader.grade_parsed), and live as long as the answer:
+    - `trees` holds the canonical trees that grading compares, in order: the
+      parts, an interval's two endpoints, or an equation's standardized
+      `(op, f)`. Each is built on first use.
+    - `subtrees` maps each raw subtree of those trees to its canonical form
+      (see canon._rewrite). Every prediction graded against the answer reads
+      a copy of it.
     """
 
-    __slots__ = ("answer_type", "parts", "quantity", "subtrees")
+    __slots__ = ("answer_type", "parts", "quantity", "subtrees", "trees")
 
     def __init__(self, answer_type: AnswerType, parts: tuple, quantity=None):
         self.answer_type = answer_type
         self.parts = tuple(parts)
         self.quantity = quantity
         self.subtrees: dict = {}
+        self.trees: tuple = ()
         if answer_type is AnswerType.TUPLE and len(self.parts) < 2:
             raise ValueError("tuple answers need at least two parts")
 

@@ -1,4 +1,4 @@
-"""Tree edit distance (Zhang–Shasha) and the partial-credit score mapping.
+"""Tree edit distance (Zhang–Shasha) and an optimal edit script.
 
 Canonical child sorting upstream makes the ordered-tree assumption valid.
 The edit script transforms the prediction's canonical tree into the ground
@@ -80,11 +80,9 @@ include_matches.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .canon import CanonicalTree, as_canonical, equivalent
 from .config import GradeConfig
-from .errors import Inconclusive
 from .nodes import MathNode
 
 INF = float("inf")
@@ -514,12 +512,12 @@ def _backtrace(A, B, x, y, td, cfg, lo, hi, out, matches, fd=None):
         q -= 1
 
 
-def tree_edit_distance(a, b, cfg: GradeConfig = GradeConfig(), include_matches: bool = False):
+def tree_edit_distance(
+    a: MathNode, b: MathNode, cfg: GradeConfig = GradeConfig(), include_matches: bool = False
+):
     """Exact minimal edit cost and one optimal edit script from a to b."""
-    ra = a.root if isinstance(a, CanonicalTree) else a
-    rb = b.root if isinstance(b, CanonicalTree) else b
     ids: dict = {}
-    A, B = _Annotated(ra, ids), _Annotated(rb, ids)
+    A, B = _Annotated(a, ids), _Annotated(b, ids)
     n, m = len(A), len(B)
     lo, hi, td, fd = _solve(A, B, cfg)
     distance = td[n - 1][m - 1]
@@ -530,88 +528,3 @@ def tree_edit_distance(a, b, cfg: GradeConfig = GradeConfig(), include_matches: 
     ops.reverse()
     return distance, ops
 
-
-@dataclass
-class GradeResult:
-    score: float
-    equivalent: bool
-    distance: float
-    relative_distance: float
-    edit_script: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
-
-    @classmethod
-    def zero(cls, diagnostics) -> "GradeResult":
-        return cls(
-            score=0.0,
-            equivalent=False,
-            distance=float("inf"),
-            relative_distance=float("inf"),
-            diagnostics=list(diagnostics),
-        )
-
-    @classmethod
-    def full(cls, cfg: GradeConfig, diagnostics) -> "GradeResult":
-        return cls(
-            score=cfg.max_score,
-            equivalent=True,
-            distance=0,
-            relative_distance=0.0,
-            diagnostics=list(diagnostics),
-        )
-
-    def to_dict(self) -> dict:
-        d = float(self.distance)
-        return {
-            "score": round(self.score, 6),
-            "equivalent": self.equivalent,
-            "distance": d if d == d and abs(d) != float("inf") else None,
-            "relative_distance": (
-                round(self.relative_distance, 6)
-                if abs(self.relative_distance) != float("inf")
-                else None
-            ),
-            "edit_script": [str(op) for op in self.edit_script],
-            "diagnostics": list(self.diagnostics),
-        }
-
-
-def distance_to_score(distance, gt_size: int, cfg: GradeConfig = GradeConfig()) -> float:
-    """Linear partial credit: 100 at distance 0, 0 at relative distance >= cutoff."""
-    if gt_size < 1:
-        raise ValueError("ground-truth size must be >= 1")
-    r = distance / gt_size
-    score = cfg.max_score * max(0.0, 1.0 - r / cfg.zero_cutoff)
-    return min(cfg.max_score, max(0.0, score))
-
-
-def seed_score(pred, gt, cfg: GradeConfig = GradeConfig(), table: "dict | None" = None) -> GradeResult:
-    """Full credit on semantic equivalence, else edit-distance partial credit.
-
-    pred and gt are MathNodes or CanonicalTrees; each is canonicalized at
-    most once, and the canonical trees feed both the equivalence check and
-    the edit distance. gt is canonicalized first, through `table`, the
-    ground truth's subtree table (see canon._rewrite); pred reads a copy of
-    it, so a subtree it shares with gt is not rewritten again, and the table
-    keeps only gt's subtrees.
-    """
-    diagnostics: list = []
-    if table is None:
-        table = {}
-    cg = as_canonical(gt, table)
-    cp = as_canonical(pred, dict(table))
-    try:
-        if equivalent(cp, cg, cfg):
-            return GradeResult.full(cfg, diagnostics)
-    except Inconclusive:
-        diagnostics.append("equivalence-inconclusive: falling back to tree distance")
-    distance, ops = tree_edit_distance(cp, cg, cfg)
-    score = distance_to_score(distance, cg.size, cfg)
-    return GradeResult(
-        score=score,
-        equivalent=False,
-        distance=distance,
-        relative_distance=distance / cg.size,
-        edit_script=ops,
-        diagnostics=diagnostics,
-    )

@@ -31,7 +31,7 @@ def canon(node):
 
 
 class TestNodes:
-    @pytest.mark.parametrize("field", ["kind", "payload", "children", "_hash", "_key", "_canon"])
+    @pytest.mark.parametrize("field", ["kind", "payload", "children", "_hash", "_key"])
     def test_every_field_is_immutable(self, field):
         node = add(x, y)
         with pytest.raises(AttributeError):
@@ -39,11 +39,10 @@ class TestNodes:
 
     def test_caches_fill(self):
         node = add(x, mul(num(2), y))
-        assert node._hash is None and node._key is None and node._canon is None
+        assert node._hash is None and node._key is None
         h = hash(node)
         assert node._hash == h
         assert canon_mod.sort_key(node) is node._key is not None
-        assert canon_mod.as_canonical(node) is node._canon is canon_mod.as_canonical(node)
 
     def test_equal_nodes_with_cached_hashes(self):
         a, b = add(x, mul(num(2), y)), add(x, mul(num(2), y))

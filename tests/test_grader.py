@@ -360,16 +360,16 @@ class TestConfig:
 
 @pytest.fixture
 def canon_calls(monkeypatch):
-    """Count the canonical trees built anywhere in seedgrade: canonicalize
-    and canonical_relation both build theirs through canon._canonical_tree."""
+    """Count the canonical trees built anywhere in seedgrade, as
+    CanonicalTree constructions."""
     calls = []
-    original = canon._canonical_tree
+    original = canon.CanonicalTree.__init__
 
-    def counted(root):
+    def counted(self, root):
         calls.append(root)
-        return original(root)
+        original(self, root)
 
-    monkeypatch.setattr(canon, "_canonical_tree", counted)
+    monkeypatch.setattr(canon.CanonicalTree, "__init__", counted)
     return calls
 
 
@@ -599,8 +599,10 @@ class TestSubtreeTable:
         text = grader._normalize_prediction(r"\boxed{2y + \sin(x^2 + 1)}", CFG)
         pred, _ = grader._parse_prediction(text, AnswerType.EXPRESSION)
         assert grader.grade_parsed(pred, gt, CFG).score < 100
-        (sin_gt,) = [n for n in _canonical_nodes(gt.parts[0]._canon.root) if n.payload == "sin"]
-        (sin_pred,) = [n for n in _canonical_nodes(pred.parts[0]._canon.root) if n.payload == "sin"]
+        (cp,), (cg,) = grader._compared_trees(pred, gt)
+        assert cg is gt.trees[0]
+        (sin_gt,) = [n for n in _canonical_nodes(cg.root) if n.payload == "sin"]
+        (sin_pred,) = [n for n in _canonical_nodes(cp.root) if n.payload == "sin"]
         assert sin_pred is sin_gt
 
 

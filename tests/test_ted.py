@@ -11,15 +11,8 @@ from seedgrade import ted
 from seedgrade.canon import canonicalize
 from seedgrade.config import GradeConfig
 from seedgrade.nodes import Kind, MathNode, add, func, mul, num, pow_, sym
-from seedgrade.ted import (
-    INF,
-    _Annotated,
-    _relabel,
-    _solve,
-    distance_to_score,
-    seed_score,
-    tree_edit_distance,
-)
+from seedgrade.grader import distance_to_score, seed_score
+from seedgrade.ted import INF, _Annotated, _relabel, _solve, tree_edit_distance
 
 x, y = sym("x"), sym("y")
 CM = GradeConfig()
