@@ -201,15 +201,21 @@ def _int_nth_root(x: int, n: int):
     return None
 
 
+def _bit_budget() -> float:
+    """The bits of the largest number that Python's int-string limit lets
+    print: no folded number may pass them."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return limit * math.log2(10)
+
+
 def _rational_pow(base: Fraction, exp: Fraction):
     """Exact value of base**exp, or None when it is irrational/complex or
     too large to fold: base**numerator(exp) has at most (bits(numerator) +
-    bits(denominator)) * |numerator(exp)| bits, and past the bits of
-    Python's int-string limit it could not even be printed.  The POW node
-    then stays, and GF(p) evaluates it in microseconds."""
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    bits(denominator)) * |numerator(exp)| bits, and past the bit budget it
+    could not even be printed.  The POW node then stays, and GF(p)
+    evaluates it in microseconds."""
     bits = base.numerator.bit_length() + base.denominator.bit_length()
-    if bits * abs(exp.numerator) > limit * math.log2(10):
+    if bits * abs(exp.numerator) > _bit_budget():
         return None
     if exp.denominator == 1:
         e = exp.numerator
@@ -267,11 +273,17 @@ def canon_mul(factors) -> MathNode:
     coeff = _F1
     buckets: dict = {}
     out = []
+    powers = []  # (numeric power, its value), folded after the numbers
     for f in flat:
         if f.kind is Kind.NUMBER:
             coeff *= f.payload
             continue
         base, exp = _split_pow(f)
+        if base.kind is Kind.NUMBER and exp.kind is Kind.NUMBER:
+            folded = _rational_pow(base.payload, exp.payload)
+            if folded is not None:
+                powers.append((f, folded))
+                continue
         if base.kind is Kind.NUMBER and base.payload == 0:
             # 0^a * 0^b is not 0^(a+b) where either one is undefined: the
             # sum can cancel a pole (0^x * 0^-x), so each is kept apart
@@ -294,13 +306,23 @@ def canon_mul(factors) -> MathNode:
         if base.kind is Kind.NUMBER and exp_node.kind is Kind.NUMBER:
             folded = _rational_pow(base.payload, exp_node.payload)
             if folded is not None:
-                coeff *= folded
+                powers.append((MathNode(Kind.POW, None, (base, exp_node)), folded))
                 continue
         factor = canon_pow(base, exp_node)
         if factor.kind is Kind.NUMBER:
             coeff *= factor.payload
             continue
         out.append(factor)
+    # each power folds into the coefficient only while it stays within the
+    # bit budget; one that would pass it stays a factor, which GF(p) evaluates
+    budget = _bit_budget() if powers else 0
+    for f, folded in powers:
+        bits = (coeff.numerator.bit_length() + coeff.denominator.bit_length()
+                + folded.numerator.bit_length() + folded.denominator.bit_length())
+        if bits > budget:
+            out.append(f)
+        else:
+            coeff *= folded
     if coeff == 0 and not any(map(_has_zero_pole, out)):
         return ZERO
     if not out:
@@ -327,18 +349,30 @@ def _rewrite(node: MathNode, table: "dict | None" = None) -> MathNode:
     c = table.get(node)
     if c is not None:
         return c
-    kids = [_rewrite(c, table) for c in node.children]
     k = node.kind
-    if k is Kind.ADD:
-        c = canon_add(kids)
-    elif k is Kind.MUL:
-        c = canon_mul(kids)
-    elif k is Kind.POW:
-        c = canon_pow(kids[0], kids[1])
+    if k is Kind.MUL:
+        c = canon_mul([_factor(f, table) if f.kind is Kind.POW else _rewrite(f, table)
+                       for f in node.children])
     else:
-        c = MathNode(k, node.payload, tuple(kids))
+        kids = [_rewrite(c, table) for c in node.children]
+        if k is Kind.ADD:
+            c = canon_add(kids)
+        elif k is Kind.POW:
+            c = canon_pow(kids[0], kids[1])
+        else:
+            c = MathNode(k, node.payload, tuple(kids))
     table[node] = c
     return c
+
+
+def _factor(node: MathNode, table: dict) -> MathNode:
+    """The canonical form of a product's power factor, except that a power
+    of two numbers stays unfolded: canon_mul folds it into the coefficient
+    only within the bit budget."""
+    b, e = _rewrite(node.children[0], table), _rewrite(node.children[1], table)
+    if b.kind is Kind.NUMBER and e.kind is Kind.NUMBER:
+        return MathNode(Kind.POW, None, (b, e))
+    return _rewrite(node, table)
 
 
 def canonicalize(node: MathNode, table: "dict | None" = None) -> CanonicalTree:

@@ -105,8 +105,8 @@ def _continued_fraction(depth):
 CRASHERS = [
     pytest.param("(" * 1000 + "x" + ")" * 1000, "RecursionError", id="nested-parentheses"),
     pytest.param(_continued_fraction(300), "RecursionError", id="continued-fraction"),
-    # powers each within the folding budget, whose product is not
-    pytest.param(r"2^{4700} \cdot 3^{4700} \cdot 7^{3500}", "ValueError", id="int-digit-limit"),
+    # two literals within the parser's digit limit, whose product is not
+    pytest.param("7" * 4000 + r" \cdot " + "3" * 4000, "ValueError", id="int-digit-limit"),
 ]
 
 
@@ -153,6 +153,17 @@ class TestNeverCrash:
         assert score(pred, pred[7:-1], "expression").score == 100.0
         assert score(pred, pred[7:-1] + "+1", "expression").score < 100.0
         assert score(r"\boxed{2^{10}}", "1024", "expression").score == 100.0
+
+    def test_power_product_past_the_bit_budget_keeps_a_power(self):
+        # each power folds alone; their product would pass the bit budget
+        pred = r"\boxed{2^{4700} \cdot 3^{4700} \cdot 7^{3500}}"
+        start = time.perf_counter()
+        r = score(pred, "x", "expression")
+        assert time.perf_counter() - start < 0.05
+        assert r.score == 0.0 and r.diagnostics == []
+        assert score(pred, pred[7:-1], "expression").score == 100.0
+        assert score(pred, r"7^{3500} \cdot 3^{4700} \cdot 2^{4700}", "expression").score == 100.0
+        assert score(pred, pred[7:-1] + "+1", "expression").score < 100.0
 
     @pytest.mark.parametrize("pred", [
         r"\boxed{3 \times 10^{400} \text{ m}}",
