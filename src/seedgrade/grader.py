@@ -1,6 +1,8 @@
-"""Per-answer-type grading: preprocess, parse, and score one prediction
-against one ground truth. Prediction-side failures always become score-0
-results; only ground-truth failures raise."""
+"""Per-answer-type grading: preprocess, parse, canonicalize and score one
+prediction against one ground truth. Canonicalization is one stage
+(`_compared_trees`), and the score policy (`GradeResult`,
+`distance_to_score`, `seed_score`) lives here. Prediction-side failures
+always become score-0 results; only ground-truth failures raise."""
 
 from __future__ import annotations
 
