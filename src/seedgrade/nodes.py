@@ -63,8 +63,9 @@ class MathNode(_NodeSlots):
     Nodes are shared (a ground truth's subtree table hands its canonical
     subtrees to every prediction graded against it, and `grade` keeps
     parsed ground truths across calls), so assigning any attribute raises
-    AttributeError. A node caches its hash and its canonical sort key; its
-    canonical form is kept by whoever asked for it, not on the node.
+    AttributeError. A node caches its hash and its canonical sort key; a
+    ground truth's canonical trees are kept on its TypedAnswer (see
+    grader.grade_parsed).
 
     payload depends on kind:
       NUMBER    -> Fraction (exact, nonzero denominator)
