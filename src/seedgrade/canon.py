@@ -297,6 +297,11 @@ def canon_mul(factors) -> MathNode:
     for base, exps in buckets.items():
         if len(exps) == 1:
             exp_node = exps[0]
+            if base.kind is Kind.NUMBER and exp_node.kind is Kind.NUMBER and base.payload != 1:
+                # the loop above failed to fold it, and canon_pow would too
+                # (it takes 1^e to 1 past the bit budget)
+                out.append(MathNode(Kind.POW, None, (base, exp_node)))
+                continue
         elif all(e.kind is Kind.NUMBER for e in exps):
             exp_node = num(sum(e.payload for e in exps))
         else:

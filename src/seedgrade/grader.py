@@ -1,15 +1,15 @@
 """Per-answer-type grading: preprocess, parse, canonicalize and score one
 prediction against one ground truth. Canonicalization is one stage
 (`_compared_trees`), and the score policy (`GradeResult`,
-`distance_to_score`, `seed_score`) lives here. Prediction-side failures
-always become score-0 results; only ground-truth failures raise."""
+`distance_to_score`, `seed_score`) lives here: every partial score is built
+by `_distance_result` (edit-distance credit) or `_combined_parts` (the
+parts of a tuple or an interval). Prediction-side failures always become
+score-0 results; only ground-truth failures raise."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from threading import Lock
 
 from .canon import as_canonical, canonical_relation, canonicalize, equivalent
 from .config import GradeConfig
@@ -75,6 +75,19 @@ def distance_to_score(distance, gt_size: int, cfg: GradeConfig = GradeConfig()) 
     return min(cfg.max_score, max(0.0, score))
 
 
+def _distance_result(distance, gt_size: int, cfg: GradeConfig, edit_script, diagnostics) -> GradeResult:
+    """Edit-distance partial credit: the result for a tree at `distance` from
+    a ground-truth tree of `gt_size` nodes."""
+    return GradeResult(
+        score=distance_to_score(distance, gt_size, cfg),
+        equivalent=False,
+        distance=distance,
+        relative_distance=distance / gt_size,
+        edit_script=list(edit_script),
+        diagnostics=list(diagnostics),
+    )
+
+
 def seed_score(pred, gt, cfg: GradeConfig = GradeConfig()) -> GradeResult:
     """Full credit on semantic equivalence, else edit-distance partial credit.
 
@@ -90,15 +103,7 @@ def seed_score(pred, gt, cfg: GradeConfig = GradeConfig()) -> GradeResult:
     except Inconclusive:
         diagnostics.append("equivalence-inconclusive: falling back to tree distance")
     distance, ops = tree_edit_distance(cp.root, cg.root, cfg)
-    score = distance_to_score(distance, cg.size, cfg)
-    return GradeResult(
-        score=score,
-        equivalent=False,
-        distance=distance,
-        relative_distance=distance / cg.size,
-        edit_script=ops,
-        diagnostics=diagnostics,
-    )
+    return _distance_result(distance, cg.size, cfg, ops, diagnostics)
 
 
 def parse_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig = GradeConfig()) -> TypedAnswer:
@@ -155,72 +160,34 @@ def _grade_relation(pred: tuple, gt: tuple, cfg: GradeConfig) -> GradeResult:
     else is graded on the sides."""
     op_p, cp = pred
     op_g, cg = gt
-    result = seed_score(cp, cg, cfg)
-    if op_p == op_g and result.equivalent:
+    sides = seed_score(cp, cg, cfg)
+    if op_p == op_g and sides.equivalent:
         return GradeResult.full(cfg, ["equation-equivalent"])
-    result.equivalent = False
-    result.diagnostics.append("graded-on-standardized-sides")
+    distance = sides.distance
+    diagnostics = sides.diagnostics + ["graded-on-standardized-sides"]
     if op_p != op_g:
         # relation direction counts as one more relabel on the one-sided form
-        d = (0 if result.distance == 0 else float(result.distance)) + cfg.rename_cost
-        result.distance = d
-        result.relative_distance = d / cg.size
-        result.score = distance_to_score(d, cg.size, cfg)
-        result.diagnostics.append("relation-direction-mismatch")
-    return result
+        distance = (0 if distance == 0 else float(distance)) + cfg.rename_cost
+        diagnostics.append("relation-direction-mismatch")
+    return _distance_result(distance, cg.size, cfg, sides.edit_script, diagnostics)
 
 
-def _grade_parts(pred: tuple, gt: tuple, lengths: tuple, cfg: GradeConfig) -> GradeResult:
-    """Score tuple parts by position, averaged over the longer tuple. pred and
-    gt are the canonical trees of the parts both have; `lengths` are the
-    part counts of the prediction and the ground truth."""
-    n = max(lengths)
-    scores = []
-    scripts = []
-    diagnostics = []
-    all_equiv = lengths[0] == lengths[1]
-    total_distance = 0.0
-    for i, (p, g) in enumerate(zip(pred, gt)):
-        r = seed_score(p, g, cfg)
-        scores.append(r.score)
-        scripts.extend(r.edit_script)
-        total_distance += float(r.distance)
-        all_equiv = all_equiv and r.equivalent
-        diagnostics.extend(f"component {i}: {d}" for d in r.diagnostics)
-    for i in range(len(pred), n):
-        scores.append(0.0)
-        diagnostics.append(f"component {i}: missing")
-    if lengths[0] != lengths[1]:
-        diagnostics.append(f"length mismatch: {lengths[0]} vs {lengths[1]}, averaged over {n}")
-    score = sum(scores) / n
-    return GradeResult(
-        score=score,
-        equivalent=all_equiv,
-        distance=0 if all_equiv else total_distance,
-        relative_distance=0.0 if all_equiv else 1.0 - score / cfg.max_score,
-        edit_script=scripts,
-        diagnostics=diagnostics,
-    )
-
-
-def _grade_interval(pred: tuple, gt: tuple, mismatched: int, cfg: GradeConfig) -> GradeResult:
-    """Score an interval on its two endpoints' canonical trees, with a penalty
-    for each of the `mismatched` endpoints whose openness differs."""
-    lo = seed_score(pred[0], gt[0], cfg)
-    hi = seed_score(pred[1], gt[1], cfg)
-    factor = 1.0 - cfg.openness_penalty * mismatched / 2
-    score = (lo.score + hi.score) / 2 * factor
-    diagnostics = list(lo.diagnostics) + list(hi.diagnostics)
-    if mismatched:
-        diagnostics.append(f"boundary openness mismatch on {mismatched} endpoint(s)")
-    equivalent = lo.equivalent and hi.equivalent and mismatched == 0
+def _combined_parts(pred: tuple, gt: tuple, n: int, factor: float, prefix: str, notes: list,
+                    cfg: GradeConfig) -> GradeResult:
+    """Score canonical parts by position: the mean of their seed scores over
+    `n` parts (a part one side lacks scores 0), times `factor`. Each part's
+    diagnostics get `prefix`, formatted with its index; `notes` follow them,
+    and a result with notes is not equivalent."""
+    parts = [seed_score(p, g, cfg) for p, g in zip(pred, gt)]
+    score = sum(r.score for r in parts) / n * factor
+    equivalent = not notes and all(r.equivalent for r in parts)
     return GradeResult(
         score=score,
         equivalent=equivalent,
-        distance=0 if equivalent else float(lo.distance) + float(hi.distance),
+        distance=0 if equivalent else sum(float(r.distance) for r in parts),
         relative_distance=0.0 if equivalent else 1.0 - score / cfg.max_score,
-        edit_script=lo.edit_script + hi.edit_script,
-        diagnostics=diagnostics,
+        edit_script=[op for r in parts for op in r.edit_script],
+        diagnostics=[prefix.format(i) + d for i, r in enumerate(parts) for d in r.diagnostics] + notes,
     )
 
 
@@ -258,26 +225,25 @@ def _canonical_forms(nodes: tuple, t: AnswerType, table: dict) -> tuple:
 
 
 def _compared_trees(pred: TypedAnswer, gt: TypedAnswer) -> tuple:
-    """The canonicalize stage. The trees that grading compares are the parts,
-    or an interval's two endpoints; this gives the canonical forms of the
-    first k of them of pred and of gt, k the smaller count. The ground
-    truth's are built through its subtree table `gt.subtrees` on first use
-    and kept in `gt.trees`; the prediction's through one copy of that table,
-    which ends with the call, so a subtree it shares with gt is not
-    rewritten again."""
+    """The canonicalize stage: the canonical forms of the first k parts of
+    pred and of gt, k the smaller part count. The ground truth's are built
+    through its subtree table `gt.subtrees` on first use and kept in
+    `gt.trees`; the prediction's through one copy of that table, which ends
+    with the call, so a subtree it shares with gt is not rewritten again."""
     t = gt.answer_type
-    p, g = (a.parts[0].children if t is AnswerType.INTERVAL else a.parts for a in (pred, gt))
-    k = min(len(p), len(g))
+    k = min(len(pred.parts), len(gt.parts))
     kept = gt.trees
     if len(kept) < k:
-        kept = gt.trees = kept + _canonical_forms(g[len(kept):k], t, gt.subtrees)
-    return _canonical_forms(p[:k], t, dict(gt.subtrees)), kept[:k]
+        kept = gt.trees = kept + _canonical_forms(gt.parts[len(kept):k], t, gt.subtrees)
+    return _canonical_forms(pred.parts[:k], t, dict(gt.subtrees)), kept[:k]
 
 
 def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
     """Grade a parsed prediction: check its type against the ground truth's,
     canonicalize both (_compared_trees, the one place that canonicalizes),
-    then score the canonical trees."""
+    then score the canonical trees. A tuple scores the mean of its parts
+    over the longer tuple; an interval the mean of its two endpoints, less
+    `openness_penalty / 2` for each endpoint whose openness differs."""
     t = gt.answer_type
     if t is AnswerType.NUMERIC:
         return grade_numeric(pred, gt, cfg)
@@ -292,10 +258,16 @@ def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeCon
         return _grade_relation(p[0], g[0], cfg)
     if t is AnswerType.TUPLE:
         # a lone expression is graded as a 1-part tuple (positional)
-        return _grade_parts(p, g, (len(pred.parts), len(gt.parts)), cfg)
+        lp, lg = len(pred.parts), len(gt.parts)
+        n = max(lp, lg)
+        notes = [f"component {i}: missing" for i in range(len(p), n)]
+        if lp != lg:
+            notes.append(f"length mismatch: {lp} vs {lg}, averaged over {n}")
+        return _combined_parts(p, g, n, 1.0, "component {}: ", notes, cfg)
     if t is AnswerType.INTERVAL:
-        openness = zip(pred.parts[0].payload, gt.parts[0].payload)
-        return _grade_interval(p, g, sum(a != b for a, b in openness), cfg)
+        mismatched = sum(a != b for a, b in zip(pred.openness, gt.openness))
+        notes = [f"boundary openness mismatch on {mismatched} endpoint(s)"] if mismatched else []
+        return _combined_parts(p, g, 2, 1.0 - cfg.openness_penalty * mismatched / 2, "", notes, cfg)
     return seed_score(p[0], g[0], cfg)
 
 
@@ -342,18 +314,17 @@ def _prepared_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig) 
     """The parsed ground truth, kept for `grade` across calls. The
     canonicalize stage keeps its canonical trees (with their evaluation
     plans) and its subtree table on it, so a hit skips every ground-truth
-    stage. An
-    invalid ground truth raises and is not kept. 1024 entries hold a whole
-    CMPhysBench run."""
+    stage. An invalid ground truth raises and is not kept. 1024 entries hold
+    a whole CMPhysBench run."""
     return parse_ground_truth(gt_raw, declared, cfg)
 
 
-# `grade`'s results, least recently used first, keyed on (normalized
-# prediction text, gt_raw, declared, cfg); the lock makes each lookup and
-# insertion one step for callers on several threads
-_GRADED_SIZE = 1024
-_graded: "OrderedDict[tuple, GradeResult]" = OrderedDict()
-_graded_lock = Lock()
+@lru_cache(maxsize=1024)
+def _graded(text: str, gt_raw: str, declared: AnswerType, cfg: GradeConfig) -> GradeResult:
+    """`grade`'s result for a normalized prediction text, kept across calls.
+    `grade` calls it only once the ground truth has been prepared, so the
+    lookup here is a hit of that memo."""
+    return _grade_normalized(text, _prepared_ground_truth(gt_raw, declared, cfg), cfg)
 
 
 def grade(
@@ -385,19 +356,11 @@ def grade(
     `grade_run` parses each item once itself and uses neither memo. A
     canonical tree's size and digest are computed only when read.
     """
-    gt = _prepared_ground_truth(gt_raw, declared, cfg)
+    _prepared_ground_truth(gt_raw, declared, cfg)  # an invalid ground truth raises here
     text = _normalize_prediction(pred_raw, cfg)
     if isinstance(text, GradeResult):
         return text
-    key = (text, gt_raw, declared, cfg)
-    with _graded_lock:
-        result = _graded.pop(key, None)
-    if result is None:
-        result = _grade_normalized(text, gt, cfg)
-    with _graded_lock:
-        _graded[key] = result  # now the most recently used
-        if len(_graded) > _GRADED_SIZE:
-            _graded.popitem(last=False)
+    result = _graded(text, gt_raw, declared, cfg)
     # a copy with its own lists; the constructor costs a third of `dataclasses.replace`
     return GradeResult(
         result.score, result.equivalent, result.distance, result.relative_distance,

@@ -17,7 +17,6 @@ class Kind(Enum):
     DERIVATIVE = "derivative"
     MATRIX = "matrix"
     RELATION = "relation"
-    INTERVAL = "interval"
 
 
 # Rank used by the canonical total order; numerics sort first so sign
@@ -33,7 +32,6 @@ KIND_RANK = {
     Kind.DERIVATIVE: 7,
     Kind.MATRIX: 8,
     Kind.RELATION: 9,
-    Kind.INTERVAL: 11,
 }
 
 CONSTANT_NAMES = ("pi", "e", "i")
@@ -73,7 +71,6 @@ class MathNode(_NodeSlots):
       CONSTANT  -> "pi" | "e" | "i"
       FUNCTION  -> str function name
       RELATION  -> "=" | "<" | "<=" | ">" | ">="
-      INTERVAL  -> (lower_open: bool, upper_open: bool)
       MATRIX    -> (rows: int, cols: int); children row-major
       others    -> None
     """
@@ -153,9 +150,6 @@ class MathNode(_NodeSlots):
         if k is Kind.MATRIX:
             r, c = self.payload
             return f"matrix{r}x{c}"
-        if k is Kind.INTERVAL:
-            lo, hi = self.payload
-            return ("(" if lo else "[") + "," + (")" if hi else "]")
         raise AssertionError(k)
 
 
@@ -217,22 +211,27 @@ class AnswerType(Enum):
 class TypedAnswer:
     """An answer tagged with one of the five grading types.
 
+    `parts` are the trees that grading compares: the one expression or
+    relation, a tuple's components, or an interval's two endpoints, whose
+    `(lower_open, upper_open)` is `openness`. A numeric answer has no parts
+    and a `quantity`.
+
     Two slots are filled when the answer is graded against as a ground
     truth (see grader.grade_parsed), and live as long as the answer:
-    - `trees` holds the canonical trees that grading compares, in order: the
-      parts, an interval's two endpoints, or an equation's standardized
-      `(op, f)`. Each is built on first use.
+    - `trees` holds the canonical forms of the parts, in order (an
+      equation's is its standardized `(op, f)`). Each is built on first use.
     - `subtrees` maps each raw subtree of those trees to its canonical form
       (see canon._rewrite). Every prediction graded against the answer reads
       a copy of it.
     """
 
-    __slots__ = ("answer_type", "parts", "quantity", "subtrees", "trees")
+    __slots__ = ("answer_type", "parts", "quantity", "openness", "subtrees", "trees")
 
-    def __init__(self, answer_type: AnswerType, parts: tuple, quantity=None):
+    def __init__(self, answer_type: AnswerType, parts: tuple, quantity=None, openness=None):
         self.answer_type = answer_type
         self.parts = tuple(parts)
         self.quantity = quantity
+        self.openness = openness
         self.subtrees: dict = {}
         self.trees: tuple = ()
         if answer_type is AnswerType.TUPLE and len(self.parts) < 2:

@@ -102,6 +102,9 @@ class _Parser:
         self.pending = None  # the token an `imul` stands before
         self.kind = None
         self.pos = -1
+        # the digits its literals may still spend: two literals that each fit
+        # Python's int-string limit can fold into a number that does not
+        self.digits = sys.get_int_max_str_digits() or float("inf")
         self.advance()
 
     def advance(self) -> None:
@@ -133,7 +136,7 @@ class _Parser:
     def _raw(self) -> tuple:
         """(kind, value, character position) of the next token of the text,
         before any glue.  An unknown command comes back as kind "unknown"
-        and a number past Python's int-string limit as kind "long"; each is
+        and a number past the text's digit budget as kind "long"; each is
         raised only where it is used, so a look ahead raises nothing."""
         t = self.peeked
         if t is not None:
@@ -153,11 +156,12 @@ class _Parser:
             return "const" if ch in "ei" else "sym", ch, pos
         if group == "int" or group == "frac":
             whole, frac = m.group("int", "frac")
-            try:
-                n = int(whole + frac) if frac else int(whole)
-            except ValueError:  # more digits than Python's int-string limit
+            self.digits -= len(whole) + len(frac or "")
+            if self.digits < 0:
                 return "long", None, pos
-            return "num", Fraction(n, 10 ** len(frac)) if frac else Fraction(n), pos
+            if frac:
+                return "num", Fraction(int(whole + frac), 10 ** len(frac)), pos
+            return "num", Fraction(int(whole)), pos
         if group == "env_name":
             return m.group("env"), m.group(group), pos
         text = self.text
@@ -505,15 +509,14 @@ def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
         t = _after_top_level_eq(text)
         if len(t) < 2 or t[0] not in "([" or t[-1] not in ")]":
             raise TypeMismatch("interval answer lacks interval delimiters")
-        lower_open = t[0] == "("
-        upper_open = t[-1] == ")"
         parts = _split_top_level(t[1:-1])
         if len(parts) != 2:
             raise TypeMismatch("interval answer needs exactly two endpoints")
-        lo = parse_expression(parts[0].strip())
-        hi = parse_expression(parts[1].strip())
-        node = MathNode(Kind.INTERVAL, (lower_open, upper_open), (lo, hi))
-        return TypedAnswer(AnswerType.INTERVAL, (node,))
+        return TypedAnswer(
+            AnswerType.INTERVAL,
+            (parse_expression(parts[0].strip()), parse_expression(parts[1].strip())),
+            openness=(t[0] == "(", t[-1] == ")"),
+        )
 
     if declared is AnswerType.NUMERIC:
         from .units import parse_quantity
@@ -603,13 +606,4 @@ def serialize(node: MathNode) -> str:
                 " & ".join(serialize(node.children[r * cols + c]) for c in range(cols))
             )
         return "\\begin{pmatrix} " + " \\\\ ".join(lines) + " \\end{pmatrix}"
-    if k is Kind.INTERVAL:
-        lo, hi = node.payload
-        return (
-            ("(" if lo else "[")
-            + serialize(node.children[0])
-            + ", "
-            + serialize(node.children[1])
-            + (")" if hi else "]")
-        )
     raise AssertionError(k)

@@ -88,6 +88,18 @@ class TestRewrites:
         assert canon(add(x, mul(num(-1), x))) == num(0)
         assert canon(add(x, mul(num(-1), x), y)) == y
 
+    def test_numeric_power_tried_once(self, monkeypatch):
+        calls = []
+        real = canon_mod._rational_pow
+        monkeypatch.setattr(canon_mod, "_rational_pow", lambda b, e: calls.append((b, e)) or real(b, e))
+        assert canon(parse(r"x \sqrt{2}")) == mul(x, pow_(num(2), num(Fraction(1, 2))))
+        assert calls == [(2, Fraction(1, 2))]
+        # a bucket that sums exponents folds again
+        calls.clear()
+        assert canon(parse(r"x \sqrt{2} \sqrt{2}")) == mul(num(2), x)
+        assert len(calls) == 3
+        assert canon(mul(x, pow_(num(1), num(10**6)))) == x
+
     def test_idempotent(self):
         t = parse(r"\frac{(x+y)^2 - x^2}{2y} + \sqrt{x^4}")
         once = canon(t)

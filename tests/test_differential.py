@@ -17,6 +17,7 @@ nothing next to the tolerance's absolute floor).
 """
 
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -172,3 +173,27 @@ def test_equivalent_agrees_with_sympy_through_functions(t, rnd):
         verdict, zero = verdicts(t, other)
     if verdict is True and zero is False:
         assert floats and within_float_tolerance(t, other, rnd)
+
+
+def _large_argument_pair():
+    """sin((e^{(19/4)^3} (1 - 7x/3))^3), and the same tree with the product
+    distributed over its sum: a `wrap` of a tree that hypothesis found."""
+    x, e = sym("x"), func("exp", pow_(num(Fraction(19, 4)), num(3)))
+    t = func("sin", pow_(mul(e, add(num(1), mul(x, num(Fraction(-7, 3))))), num(3)))
+    d = func("sin", pow_(add(mul(e, num(1)), mul(e, mul(x, num(Fraction(-7, 3))))), num(3)))
+    return t, d
+
+
+def test_large_argument_pair_is_an_identity():
+    t, d = _large_argument_pair()
+    assert sympy.cancel(to_sympy(t) - to_sympy(d)) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the argument of sin is about 1e140, so its 30-digit float value keeps none of "
+    "the digits that sin reads, and the two sides evaluate apart",
+)
+def test_large_argument_distributed_is_equivalent():
+    assert equivalent(*_large_argument_pair())

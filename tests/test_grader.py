@@ -105,8 +105,8 @@ def _continued_fraction(depth):
 CRASHERS = [
     pytest.param("(" * 1000 + "x" + ")" * 1000, "RecursionError", id="nested-parentheses"),
     pytest.param(_continued_fraction(300), "RecursionError", id="continued-fraction"),
-    # two literals within the parser's digit limit, whose product is not
-    pytest.param("7" * 4000 + r" \cdot " + "3" * 4000, "ValueError", id="int-digit-limit"),
+    # eleven numbers within the bit budget, whose sum is not
+    pytest.param(" + ".join([r"3^{4761} 7^{2399}"] * 11), "ValueError", id="int-digit-limit"),
 ]
 
 
@@ -126,10 +126,18 @@ class TestNeverCrash:
             score("x", "(" * 1000 + "x" + ")" * 1000, "expression")
 
     def test_oversized_literal_prediction_is_a_parse_error(self):
-        start = time.perf_counter()
-        r = score(r"\boxed{" + "9" * 5000 + "}", "x", "expression")
-        assert time.perf_counter() - start < 0.05
-        assert r.score == 0.0 and r.diagnostics[0].startswith("ParseError:")
+        for text in (
+            "9" * 5000,
+            # literals that each fit the int-string limit, but not together
+            "7" * 4000 + r" \cdot " + "3" * 4000,
+            "9" * 4300 + " + 1",
+        ):
+            start = time.perf_counter()
+            r = score(rf"\boxed{{{text}}}", "x", "expression")
+            assert time.perf_counter() - start < 0.05
+            assert r.score == 0.0 and r.diagnostics[0].startswith("ParseError:")
+            with pytest.raises(GroundTruthInvalid):
+                score("x", text, "expression")
 
     def test_nesting_below_the_recursion_limit_grades(self):
         # three frames per bracket level: 300 levels fit under the default limit of 1000
@@ -437,7 +445,8 @@ class TestGroundTruthMemo:
         cold = score(pred, gt, t).to_dict()
         assert grader._prepared_ground_truth.cache_info().currsize == 1
         assert score(pred, gt, t).to_dict() == cold
-        assert grader._prepared_ground_truth.cache_info().hits == 1
+        # parsed once; a graded prediction looks it up again, as a hit
+        assert grader._prepared_ground_truth.cache_info().misses == 1
 
     def test_keyed_on_config(self):
         assert score(r"\boxed{x+1}", "(x+1", "expression").score == 100
@@ -459,7 +468,7 @@ class TestGroundTruthMemo:
         info = memo.cache_info()
         assert (info.currsize, info.misses) == (size, size + 1)
         score(rf"\boxed{{{size}}}", str(size), "expression")
-        assert memo.cache_info().hits == 1
+        assert memo.cache_info().misses == size + 1
         score(r"\boxed{0}", "0", "expression")
         assert memo.cache_info().misses == size + 2
 
@@ -470,13 +479,13 @@ class TestGroundTruthMemo:
         ]
         grade_run(items, [("q1", "m", r"\boxed{2x}"), ("q2", "m", r"\boxed{(1, 3)}")])
         assert grader._prepared_ground_truth.cache_info().currsize == 0
-        assert not grader._graded
+        assert grader._graded.cache_info().currsize == 0
 
 
 class TestResultMemo:
-    """`grade` keeps each result per normalized prediction text and
-    (gt_raw, declared, cfg), and returns a copy; conftest empties the memo
-    before every test."""
+    """`grade` keeps each result per normalized prediction text and parsed
+    ground truth, and returns a copy; conftest empties the memo before
+    every test."""
 
     def test_repeat_builds_no_tree(self, canon_calls):
         first = score(r"\boxed{x+2y}", "y+x", "expression")
@@ -484,6 +493,7 @@ class TestResultMemo:
         assert built == 2
         assert score(r"\boxed{x+2y}", "y+x", "expression").to_dict() == first.to_dict()
         assert len(canon_calls) == built
+        assert grader._graded.cache_info().hits == 1
 
     def test_same_answer_in_other_prose_graded_once(self, monkeypatch):
         grader._prepared_ground_truth("2x", AnswerType.EXPRESSION, CFG)
@@ -494,7 +504,8 @@ class TestResultMemo:
         b = score(r"By symmetry the answer is $\boxed{2x}$", "2x", "expression")
         assert parsed == ["2x"]
         assert a.to_dict() == b.to_dict()
-        assert len(grader._graded) == 1
+        info = grader._graded.cache_info()
+        assert (info.currsize, info.hits) == (1, 1)
 
     def test_changing_a_result_leaves_the_next_unchanged(self):
         first = score(r"\boxed{x+2}", "x+1", "expression")
@@ -504,6 +515,7 @@ class TestResultMemo:
         first.edit_script.clear()
         first.diagnostics.append("changed by the caller")
         second = score(r"\boxed{x+2}", "x+1", "expression")
+        assert grader._graded.cache_info().hits == 1
         assert second.to_dict() == kept
         assert second.edit_script is not first.edit_script
 
@@ -513,7 +525,8 @@ class TestResultMemo:
         for _ in range(2):
             assert score(pred, gt, "numeric", wide).score == 100
             assert score(pred, gt, "numeric").score == 0
-        assert len(grader._graded) == 2
+        info = grader._graded.cache_info()
+        assert (info.currsize, info.hits) == (2, 2)
 
     def test_invalid_ground_truth_raises_every_call(self, monkeypatch):
         pred, gt = r"\boxed{x+1}", "(x+1"
@@ -521,7 +534,8 @@ class TestResultMemo:
         for _ in range(3):
             with pytest.raises(GroundTruthInvalid):
                 score(pred, gt, "expression", GradeConfig(max_bracket_inserts=0))
-        assert len(grader._graded) == 1
+        info = grader._graded.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
 
         def invalid(*key):
             raise GroundTruthInvalid("invalid")
@@ -530,22 +544,40 @@ class TestResultMemo:
         monkeypatch.setattr(grader, "_prepared_ground_truth", invalid)
         with pytest.raises(GroundTruthInvalid):
             score(pred, gt, "expression")
+        assert grader._graded.cache_info().hits == 0
 
     def test_extraction_failure_not_kept(self):
         assert score("", "x", "expression").diagnostics == ["EmptyResponse: no answer segment found"]
-        assert not grader._graded
+        info = grader._graded.cache_info()
+        assert (info.currsize, info.misses) == (0, 0)
 
     def test_least_recent_evicted(self):
+        memo = grader._graded
         size = 1024
-        assert grader._GRADED_SIZE == size
+        assert memo.cache_info().maxsize == size
         for i in range(size + 1):
             score(rf"\boxed{{{i}}}", "0", "expression")
-        assert len(grader._graded) == size
-        assert next(iter(grader._graded))[0] == "1"
+        info = memo.cache_info()
+        assert (info.currsize, info.misses) == (size, size + 1)
+        # "0" went first; "1" is now the least recent and stays
         score(r"\boxed{1}", "0", "expression")
-        score(r"\boxed{x}", "0", "expression")
-        assert [key[0] for key in grader._graded][:2] == ["3", "4"]
-        assert [key[0] for key in grader._graded][-2:] == ["1", "x"]
+        assert memo.cache_info().hits == 1
+        score(r"\boxed{0}", "0", "expression")
+        assert memo.cache_info().misses == size + 2
+
+    def test_hit_refreshes_recency(self):
+        memo = grader._graded
+        size = memo.cache_info().maxsize
+        for i in range(size):
+            score(rf"\boxed{{{i}}}", "0", "expression")
+        score(r"\boxed{0}", "0", "expression")  # "0" is now the most recent, "1" the least
+        score(r"\boxed{x}", "0", "expression")  # evicts "1"
+        assert memo.cache_info().hits == 1
+        score(r"\boxed{0}", "0", "expression")
+        assert memo.cache_info().hits == 2
+        misses = memo.cache_info().misses
+        score(r"\boxed{1}", "0", "expression")
+        assert memo.cache_info().misses == misses + 1
 
     def test_warm_equals_cold_on_minicorpus(self):
         data = resources.files("seedgrade.data")
@@ -558,14 +590,15 @@ class TestResultMemo:
         cold = {}
         for pair in pairs:
             grader._prepared_ground_truth.cache_clear()
-            grader._graded.clear()
+            grader._graded.cache_clear()
             cold[pair] = grade(*pair, CFG).to_dict()
         rng = random.Random(11)
         for _ in range(2):
             rng.shuffle(pairs)
             for pair in pairs:
                 assert grade(*pair, CFG).to_dict() == cold[pair]
-        assert len(grader._graded) == len(pairs)
+        assert grader._graded.cache_info().currsize == len(pairs)
+
 
 def _canonical_nodes(node):
     stack, out = [node], []

@@ -322,14 +322,13 @@ class TestParseAnswer:
 
     def test_interval_openness(self):
         a = parse_answer(canonicalize_latex("[0, L)"), AnswerType.INTERVAL)
-        node = a.parts[0]
-        assert node.kind is Kind.INTERVAL
-        assert node.payload == (False, True)
-        assert node.children == (num(0), sym("L"))
+        assert a.parts == (num(0), sym("L"))
+        assert a.openness == (False, True)
 
     def test_interval_after_name(self):
         a = parse_answer(canonicalize_latex("x = (0, 1)"), AnswerType.INTERVAL)
-        assert a.parts[0].payload == (True, True)
+        assert a.parts == (num(0), num(1))
+        assert a.openness == (True, True)
 
     def test_numeric(self):
         a = parse_answer(canonicalize_latex(r"3 \times 10^{8} m/s"), AnswerType.NUMERIC)
