@@ -43,7 +43,7 @@ import mpmath
 
 from .config import GradeConfig
 from .errors import Inconclusive, NotARelation
-from .nodes import KIND_RANK, ONE, ZERO, Kind, MathNode, num, relation, set_key
+from .nodes import KIND_RANK, MINUS_ONE, ONE, ZERO, Kind, MathNode, num, relation, set_key
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -151,6 +151,18 @@ def _with_coeff(coeff: Fraction, base: MathNode) -> MathNode:
     return MathNode(Kind.MUL, None, (num(coeff), base))
 
 
+def _summed(coeffs: list) -> list:
+    """[the sum of coeffs], or coeffs themselves, unsummed, when the sum
+    would pass the bit budget: it could not be printed, and terms kept
+    apart sum the same way when rewritten again."""
+    if len(coeffs) < 2:
+        return coeffs
+    total = sum(coeffs, _F0)
+    if total.numerator.bit_length() + total.denominator.bit_length() > _bit_budget():
+        return coeffs
+    return [total]
+
+
 def canon_add(terms) -> MathNode:
     flat = []
     stack = list(terms)
@@ -160,23 +172,27 @@ def canon_add(terms) -> MathNode:
             stack.extend(t.children)
         else:
             flat.append(t)
-    constant = _F0
+    constants = []
     buckets: dict = {}
     for t in flat:
         coeff, base = _split_term(t)
         if base.kind is Kind.NUMBER and base.payload == 1:
-            constant += coeff
+            constants.append(coeff)
             continue
         # keyed by the node: its hash is cached, a sort key's tuple hash is not
         c = buckets.get(base)
-        buckets[base] = coeff if c is None else c + coeff
+        if c is None:
+            buckets[base] = [coeff]
+        else:
+            c.append(coeff)
     out = []
-    for base, coeff in buckets.items():
-        if coeff == 0 and not _has_zero_pole(base):
-            continue
-        out.append(_with_coeff(coeff, base))
-    if constant != 0:
-        out.append(num(constant))
+    for base, coeffs in buckets.items():
+        for coeff in _summed(coeffs):
+            if coeff != 0 or _has_zero_pole(base):
+                out.append(_with_coeff(coeff, base))
+    for constant in _summed(constants):
+        if constant != 0:
+            out.append(num(constant))
     if not out:
         return ZERO
     if len(out) == 1:
@@ -433,7 +449,7 @@ def standardize_relation(node: MathNode, table: "dict | None" = None) -> MathNod
         raise NotARelation(f"expected a relation, got {node.kind.name}")
     lhs = _rewrite(node.children[0], table)
     rhs = _rewrite(node.children[1], table)
-    diff = canon_add([lhs, canon_mul([num(-1), rhs])])
+    diff = canon_add([lhs, canon_mul([MINUS_ONE, rhs])])
     op = node.payload
     if diff == ZERO:
         return relation(op, ZERO, ZERO)

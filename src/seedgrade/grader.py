@@ -311,11 +311,14 @@ def _grade_normalized(text: str, gt: TypedAnswer, cfg: GradeConfig) -> GradeResu
 
 @lru_cache(maxsize=1024)
 def _prepared_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig) -> TypedAnswer:
-    """The parsed ground truth, kept for `grade` across calls. The
+    """The parsed ground truth, kept for the process: `load_dataset` fills
+    it as it validates each row, and `grade` and `grade_run` read it, so a
+    loaded ground truth is parsed once. On the kept answer `grade`'s
     canonicalize stage keeps its canonical trees (with their evaluation
-    plans) and its subtree table on it, so a hit skips every ground-truth
-    stage. An invalid ground truth raises and is not kept. 1024 entries hold
-    a whole CMPhysBench run."""
+    plans) and its subtree table, so a hit skips every ground-truth stage;
+    `grade_run` grades against a fresh TypedAnswer of its parts instead.
+    An invalid ground truth raises and is not kept. 1024 entries hold a
+    whole CMPhysBench run."""
     return parse_ground_truth(gt_raw, declared, cfg)
 
 
@@ -338,7 +341,8 @@ def grade(
     Two memos of the last 1024 distinct keys each serve a reward function or
     a loop over many models that grades the same answers again:
     - The parsed ground truth is kept per (gt_raw, declared, cfg), so a
-      repeated ground truth costs nothing. An invalid one raises on every
+      repeated ground truth, or one that `load_dataset` read with the same
+      config, is not parsed again. An invalid one raises on every
       call. With each ground truth the memo keeps what grade_parsed's
       canonicalize stage keeps on it: its canonical trees
       (`TypedAnswer.trees`) and its subtree table (`TypedAnswer.subtrees`),
@@ -353,8 +357,9 @@ def grade(
       Each call returns a fresh `GradeResult` with its own lists, so a
       caller that changes it does not change what later calls return.
 
-    `grade_run` parses each item once itself and uses neither memo. A
-    canonical tree's size and digest are computed only when read.
+    `grade_run` reads the ground-truth memo but keeps no canonical tree in
+    it, and does not use the result memo. A canonical tree's size and digest
+    are computed only when read.
     """
     _prepared_ground_truth(gt_raw, declared, cfg)  # an invalid ground truth raises here
     text = _normalize_prediction(pred_raw, cfg)

@@ -15,8 +15,8 @@ from pathlib import Path
 from . import errors
 from .config import GradeConfig
 from .errors import DegenerateInput, GradingError, GroundTruthInvalid, SchemaError
-from .grader import GradeResult, grade_prediction, parse_ground_truth
-from .nodes import AnswerType
+from .grader import GradeResult, _prepared_ground_truth, grade_prediction
+from .nodes import AnswerType, TypedAnswer
 
 TOPICS = (
     "Magnetism",
@@ -98,7 +98,9 @@ def load_dataset(path, cfg: GradeConfig = GradeConfig()) -> list:
     """Load and validate line-delimited benchmark items.
 
     Every invalid row is reported on stderr with its line number before the
-    first error is raised.
+    first error is raised. Each ground truth is validated by parsing it
+    through the ground-truth memo that `grade` and `grade_run` read
+    (grader._prepared_ground_truth), so neither parses it again.
     """
     items: list = []
     seen: set = set()
@@ -118,7 +120,7 @@ def load_dataset(path, cfg: GradeConfig = GradeConfig()) -> list:
         if err is None:
             declared = AnswerType(row["answer_type"])
             try:
-                parse_ground_truth(row["ground_truth"], declared, cfg)
+                _prepared_ground_truth(row["ground_truth"], declared, cfg)
             except GroundTruthInvalid as exc:
                 err = GroundTruthInvalid(str(exc), line=lineno)
         if err is not None:
@@ -163,10 +165,13 @@ FORK_AFTER_S = 0.05  # projected serial time of the tasks left past which a run 
 def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     """Grade every (item, model) pair. Items a model never answered score 0;
     responses without a matching item are recorded with a diagnostic. Each
-    answered item's ground truth is parsed once, and its trees are
-    canonicalized (an equation standardized) once and kept on it for every
-    model (see grader.grade_parsed); each distinct response text to it is graded once: grading is
-    deterministic, so models that sent the same text share its result.
+    answered item's ground truth is read from the ground-truth memo that
+    `load_dataset` filled (an item it did not load is parsed once, into the
+    memo), and its trees are canonicalized (an equation standardized) once
+    for every model, on a TypedAnswer of the item's own, so they end with
+    the item (see grader.grade_parsed). Each distinct response text to it is
+    graded once: grading is deterministic, so models that sent the same
+    text share its result. The result memo of `grade` is not used.
 
     Items are graded from one task queue; forked workers join in once the
     tasks left are projected to take over FORK_AFTER_S (see `_grade_work`)."""
@@ -199,7 +204,9 @@ def _grade_item(item, answers, cfg) -> list:
             result = graded[text]
         else:
             if gt is None:
-                gt = parse_ground_truth(item.ground_truth, item.answer_type, cfg)
+                # the kept parse's parts; the trees built on them end with the item
+                kept = _prepared_ground_truth(item.ground_truth, item.answer_type, cfg)
+                gt = TypedAnswer(kept.answer_type, kept.parts, kept.quantity, kept.openness)
             result = graded[text] = grade_prediction(text, gt, cfg)
         records.append(_record(item.id, model, item.topic, item.answer_type.value, result))
     return records

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 
 class Kind(Enum):
+    # members compare by identity; Enum's own __hash__ is Python code
+    __hash__ = object.__hash__
+
     NUMBER = "number"
     CONSTANT = "constant"
     SYMBOL = "symbol"
@@ -59,10 +63,11 @@ class MathNode(_NodeSlots):
     """Immutable tagged tree node.
 
     Nodes are shared (a ground truth's subtree table hands its canonical
-    subtrees to every prediction graded against it, and `grade` keeps
-    parsed ground truths across calls), so assigning any attribute raises
-    AttributeError. A node caches its hash and its canonical sort key; a
-    ground truth's canonical trees are kept on its TypedAnswer (see
+    subtrees to every prediction graded against it, the ground-truth memo
+    keeps parsed ground truths for the process, and `num`, `sym` and
+    `const` return one node per distinct leaf), so assigning any attribute
+    raises AttributeError. A node caches its hash and its canonical sort
+    key; a ground truth's canonical trees are kept on its TypedAnswer (see
     grader.grade_parsed).
 
     payload depends on kind:
@@ -155,18 +160,34 @@ class MathNode(_NodeSlots):
 
 # -- constructors -----------------------------------------------------------
 
+LEAVES = 4096  # distinct leaves kept in the leaf table
+
+
+@lru_cache(maxsize=LEAVES)
+def _leaf(kind: Kind, key) -> MathNode:
+    """The one node of a leaf (the leaf half of hash-consing): nodes are
+    immutable and compare by structure, so every leaf of one kind and
+    payload can be the same object, whose hash and sort key are computed
+    once. A number is keyed by its (numerator, denominator), whose hash is
+    C code (a Fraction's is not). A leaf evicted from the table stays valid;
+    the next one just is another object."""
+    return MathNode(kind, Fraction(*key) if kind is Kind.NUMBER else key)
+
+
 def num(value) -> MathNode:
-    return MathNode(Kind.NUMBER, value if type(value) is Fraction else Fraction(value))
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return _leaf(Kind.NUMBER, (value.numerator, value.denominator))
 
 
 def sym(name: str) -> MathNode:
-    return MathNode(Kind.SYMBOL, name)
+    return _leaf(Kind.SYMBOL, name)
 
 
 def const(name: str) -> MathNode:
     if name not in CONSTANT_NAMES:
         raise ValueError(f"not a constant: {name}")
-    return MathNode(Kind.CONSTANT, name)
+    return _leaf(Kind.CONSTANT, name)
 
 
 def add(*terms: MathNode) -> MathNode:
@@ -190,17 +211,22 @@ def relation(op: str, lhs: MathNode, rhs: MathNode) -> MathNode:
     return MathNode(Kind.RELATION, op, (lhs, rhs))
 
 
+ZERO = num(0)
+ONE = num(1)
+# the parser's own numbers (from `-`, `/`, `\frac`, `\sqrt`), built once here
+MINUS_ONE = num(-1)
+HALF = num(Fraction(1, 2))
+
+
 def neg(node: MathNode) -> MathNode:
     if node.kind is Kind.NUMBER:
         return num(-node.payload)
-    return mul(num(-1), node)
-
-
-ZERO = num(0)
-ONE = num(1)
+    return mul(MINUS_ONE, node)
 
 
 class AnswerType(Enum):
+    __hash__ = object.__hash__  # as Kind's
+
     EXPRESSION = "expression"
     EQUATION = "equation"
     NUMERIC = "numeric"

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 from .errors import ParseError, TypeMismatch, UnknownCommand
 from .nodes import (
+    HALF,
+    MINUS_ONE,
     AnswerType,
     Kind,
     MathNode,
@@ -227,7 +229,7 @@ class _Parser:
             if kind == "star" or kind == "slash" or kind == "imul":
                 self.advance()
                 f = self.factor()
-                factors.append(pow_(f, num(-1)) if kind == "slash" else f)
+                factors.append(pow_(f, MINUS_ONE) if kind == "slash" else f)
                 continue
             term = factors[0] if len(factors) == 1 else MathNode(Kind.MUL, None, tuple(factors))
             terms.append(neg(term) if minus else term)
@@ -312,10 +314,10 @@ class _Parser:
             index = self.group("lbrack") if self.kind == "lbrack" else None
             arg = self.group("lbrace")
             if index is None:
-                return pow_(arg, num(Fraction(1, 2)))
+                return pow_(arg, HALF)
             if index.kind is Kind.NUMBER and index.payload != 0:
                 return pow_(arg, num(Fraction(1, 1) / index.payload))
-            return pow_(arg, pow_(index, num(-1)))
+            return pow_(arg, pow_(index, MINUS_ONE))
         if kind == "func":
             name = self.value
             self.advance()
@@ -337,7 +339,7 @@ class _Parser:
                     self.advance()
                 expr = self.factor()
             return MathNode(Kind.DERIVATIVE, None, (expr, sym(var)))
-        return mul(a, pow_(b, num(-1)))
+        return mul(a, pow_(b, MINUS_ONE))
 
     @staticmethod
     def _derivative_pattern(a: MathNode, b: MathNode):

@@ -63,11 +63,11 @@ distance itself.  That sequence distance is found the same way, on a strip
 from a bound on the (kind, label) multisets, which sends pairs that share
 few labels to the full table without a pass.  When a pass returns a value
 above K, the value is an upper bound, and the pass reruns with
-K = min(2K, value).  The full table runs instead when the strip would span
-more diagonals than STRIP_SHARE of the smaller tree's nodes (near that width
-the strip saves little and its reruns cost more; scripts/ted_ladder.py
-shows the switch) and when insert_cost or delete_cost is 0 (the strip is
-then unbounded).
+K = min(2K, value), doubled again while that leaves the strip unchanged.
+The full table runs instead when the strip would span more diagonals than
+STRIP_SHARE of the smaller tree's nodes (near that width the strip saves
+little and its reruns cost more; scripts/ted_ladder.py shows the switch)
+and when insert_cost or delete_cost is 0 (the strip is then unbounded).
 
 The backtrace starts from the root table of the forward pass and rebuilds,
 on the same strip, the table of each subtree pair it descends into, unless
@@ -418,7 +418,8 @@ def _exact(run, n: int, m: int, cfg: GradeConfig, k):
     """Call run(lo, hi, k) on the strip of bound k, then of wider bounds,
     until its value is within the bound and so exact: (value, lo, hi, run's
     state).  None once the strip would be wider than STRIP_SHARE of the
-    smaller tree."""
+    smaller tree.  K doubles, up to run's value, until the strip widens:
+    a bound on the same strip would run the same cells again."""
     while True:
         lo, hi = _strip(n, m, k, cfg)
         if hi - lo + 1 > STRIP_SHARE * min(n, m):
@@ -427,6 +428,8 @@ def _exact(run, n: int, m: int, cfg: GradeConfig, k):
         if value <= k:
             return value, lo, hi, state
         k = min(2 * k, value)
+        while k < value and _strip(n, m, k, cfg) == (lo, hi):
+            k = min(2 * k, value)
 
 
 def _solve(A: _Annotated, B: _Annotated, cfg: GradeConfig):

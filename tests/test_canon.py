@@ -6,6 +6,7 @@ import pytest
 from oracle import evaluate_exact
 from test_acceptance import EQUIVALENT_PAIRS, INEQUIVALENT_PAIRS
 from seedgrade import canon as canon_mod
+from seedgrade import nodes
 from seedgrade.canon import (
     P,
     canonicalize,
@@ -15,7 +16,7 @@ from seedgrade.canon import (
 from seedgrade.config import GradeConfig
 from seedgrade.errors import Inconclusive, NotARelation
 from seedgrade.grader import grade, grade_equation
-from seedgrade.nodes import AnswerType, Kind, add, mul, num, pow_, relation, sym
+from seedgrade.nodes import AnswerType, Kind, add, const, mul, num, pow_, relation, sym
 from seedgrade.parser import parse_expression
 from seedgrade.preprocess import canonicalize_latex
 
@@ -43,6 +44,24 @@ class TestNodes:
         h = hash(node)
         assert node._hash == h
         assert canon_mod.sort_key(node) is node._key is not None
+
+    def test_one_node_per_leaf(self):
+        assert num(2) is num(Fraction(2)) is num("2")
+        assert num(Fraction(1, 2)) is nodes.HALF and num(-1) is nodes.MINUS_ONE
+        assert sym("x") is sym("x") is not sym("y")
+        assert const("pi") is const("pi")
+        assert num(1) is not sym("1") and num(0) is not const("e")
+
+    def test_leaf_table_is_bounded(self):
+        table = nodes._leaf
+        assert table.cache_info().maxsize == nodes.LEAVES
+        first = sym("leaf-0")
+        for k in range(nodes.LEAVES):
+            sym(f"leaf-{k + 1}")
+        assert table.cache_info().currsize == nodes.LEAVES
+        # an evicted leaf stays valid; the next one is an equal node
+        again = sym("leaf-0")
+        assert again is not first and again == first and hash(again) == hash(first)
 
     def test_equal_nodes_with_cached_hashes(self):
         a, b = add(x, mul(num(2), y)), add(x, mul(num(2), y))
@@ -103,6 +122,17 @@ class TestRewrites:
     def test_idempotent(self):
         t = parse(r"\frac{(x+y)^2 - x^2}{2y} + \sqrt{x^4}")
         once = canon(t)
+        assert canon(once) == once
+
+    def test_sum_past_the_bit_budget_idempotent(self):
+        # eleven numbers within the bit budget, whose sum is not, stay eleven terms
+        once = canon(parse(" + ".join([r"3^{4761} 7^{2399}"] * 11)))
+        assert once.kind is Kind.ADD and len(once.children) == 11
+        assert canon(once) == once
+        assert canon(add(once, x)) == add(*once.children, x)
+        # terms of a collected base whose coefficients would pass it
+        once = canon(parse(" + ".join([r"3^{4761} 7^{2399} x"] * 11)))
+        assert once.kind is Kind.ADD and len(once.children) == 11
         assert canon(once) == once
 
     def test_sign_not_globally_normalized(self):

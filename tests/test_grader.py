@@ -105,9 +105,13 @@ def _continued_fraction(depth):
 CRASHERS = [
     pytest.param("(" * 1000 + "x" + ")" * 1000, "RecursionError", id="nested-parentheses"),
     pytest.param(_continued_fraction(300), "RecursionError", id="continued-fraction"),
-    # eleven numbers within the bit budget, whose sum is not
-    pytest.param(" + ".join([r"3^{4761} 7^{2399}"] * 11), "ValueError", id="int-digit-limit"),
+    # powers of square roots that each fold within the bit budget, whose product does not
+    pytest.param(r"(\sqrt{2 \cdot 10^{300}})^{28} (\sqrt{3 \cdot 10^{300}})^{28}", "ValueError",
+                 id="int-digit-limit"),
 ]
+
+# eleven numbers within the bit budget, whose sum is not
+BIG_SUM = " + ".join([r"3^{4761} 7^{2399}"] * 11)
 
 
 class TestNeverCrash:
@@ -172,6 +176,15 @@ class TestNeverCrash:
         assert score(pred, pred[7:-1], "expression").score == 100.0
         assert score(pred, r"7^{3500} \cdot 3^{4700} \cdot 2^{4700}", "expression").score == 100.0
         assert score(pred, pred[7:-1] + "+1", "expression").score < 100.0
+
+    def test_sum_past_the_bit_budget_keeps_its_terms(self):
+        pred = rf"\boxed{{{BIG_SUM}}}"
+        start = time.perf_counter()
+        r = score(pred, "x", "expression")
+        assert time.perf_counter() - start < 0.05
+        assert r.score == 0.0 and r.diagnostics == []
+        assert score(pred, BIG_SUM, "expression").score == 100.0
+        assert score(pred, BIG_SUM + "+1", "expression").score < 100.0
 
     @pytest.mark.parametrize("pred", [
         r"\boxed{3 \times 10^{400} \text{ m}}",
@@ -478,8 +491,12 @@ class TestGroundTruthMemo:
             BenchmarkItem("q2", "Others", AnswerType.TUPLE, "p", "(1, 2)"),
         ]
         grade_run(items, [("q1", "m", r"\boxed{2x}"), ("q2", "m", r"\boxed{(1, 3)}")])
-        assert grader._prepared_ground_truth.cache_info().currsize == 0
         assert grader._graded.cache_info().currsize == 0
+        # the ground truths are kept parsed, but their canonical trees ended with the run
+        assert grader._prepared_ground_truth.cache_info().currsize == 2
+        for item in items:
+            kept = grader._prepared_ground_truth(item.ground_truth, item.answer_type, CFG)
+            assert kept.trees == () and kept.subtrees == {}
 
 
 class TestResultMemo:

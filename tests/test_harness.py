@@ -11,7 +11,7 @@ from importlib import resources
 import pytest
 
 import seedgrade
-from seedgrade import harness
+from seedgrade import grader, harness
 from seedgrade.config import GradeConfig
 from seedgrade.errors import DegenerateInput, GroundTruthInvalid, SchemaError
 from seedgrade.harness import (
@@ -195,17 +195,35 @@ class TestGradeRun:
 
     def test_ground_truth_parsed_once_per_answered_item(self, monkeypatch):
         parsed = []
-        original = harness.parse_ground_truth
+        original = grader.parse_ground_truth
 
         def counted(gt_raw, declared, cfg=GradeConfig()):
             parsed.append(gt_raw)
             return original(gt_raw, declared, cfg)
 
-        monkeypatch.setattr(harness, "parse_ground_truth", counted)
+        monkeypatch.setattr(grader, "parse_ground_truth", counted)
         responses = [("q1", m, r"\boxed{2x}") for m in ("a", "b", "c")]
         report = grade_run(self._items(), responses)
         assert len(report.records) == 6
         assert parsed == ["2x"]  # q2 has no response, so it is never parsed
+
+    def test_loaded_ground_truths_never_parsed_again(self, monkeypatch):
+        cfg = GradeConfig()
+        data = resources.files("seedgrade.data")
+        with resources.as_file(data.joinpath("minicorpus.jsonl")) as d, \
+             resources.as_file(data.joinpath("minicorpus_responses.jsonl")) as r:
+            items = load_dataset(d, cfg)
+            responses = load_responses(r)
+        parsed = []
+        original = grader.parse_ground_truth
+        monkeypatch.setattr(grader, "parse_ground_truth",
+                            lambda *args: parsed.append(args[0]) or original(*args))
+        report = serial_run(monkeypatch, items, responses)
+        assert len(report.records) == len(items) * 2
+        by_id = {item.id: item for item in items}
+        for item_id, _, text in responses:
+            grader.grade(text, by_id[item_id].ground_truth, by_id[item_id].answer_type, cfg)
+        assert parsed == []
 
     def test_deterministic(self):
         responses = [("q2", "m", r"\boxed{3y}"), ("q1", "m", r"\boxed{x}")]

@@ -323,6 +323,22 @@ class TestStrip:
             tree_edit_distance(a, b, FREE_INSERT)
         assert strip_passes == [False, False]
 
+    def test_bound_doubles_past_an_unchanged_strip(self, monkeypatch):
+        """Trees one node apart keep the strip (0, 1) at K = 1 and K = 2, so
+        the bound pass goes from K = 1 to K = 4 without a pass at K = 2."""
+        leaves = [sym(f"x_{k}") for k in range(10)]
+        a = add(*leaves, y)
+        b = add(leaves[-1], *leaves[:-1])
+        calls = []
+        real = ted._sequence_distance
+        monkeypatch.setattr(ted, "_sequence_distance", lambda *args: calls.append(args[-2:]) or real(*args))
+        got = _script(tree_edit_distance(a, b, CM, include_matches=True))
+        # bound passes at K = 1 and K = 4, then the forward pass's suffix rows
+        assert calls == [(0, 1), (-1, 2), (-1, 2)]
+        monkeypatch.setattr(ted, "STRIP_SHARE", 0.0)
+        assert got == _script(tree_edit_distance(a, b, CM, include_matches=True))
+        assert got[0] == 3
+
     def test_one_edit_fills_a_sliver(self, monkeypatch):
         rng = random.Random(7)
         a = _random_tree(rng, 300)
