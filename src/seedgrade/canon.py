@@ -208,13 +208,17 @@ def _split_pow(f: MathNode):
 
 
 def _int_nth_root(x: int, n: int):
-    if x < 0:
-        return None
-    r = round(x ** (1.0 / n))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**n == x:
-            return cand
-    return None
+    """The integer n-th root of x when x is a perfect n-th power, else None.
+    Newton's iteration in integers, from a power of two above the root: a
+    float root would overflow past 2^1024."""
+    if x < 2:
+        return x if x >= 0 else None
+    r = 1 << -(-x.bit_length() // n)
+    while True:
+        s = ((n - 1) * r + x // r ** (n - 1)) // n
+        if s >= r:
+            return r if r**n == x else None
+        r = s
 
 
 def _bit_budget() -> float:
@@ -289,10 +293,11 @@ def canon_mul(factors) -> MathNode:
     coeff = _F1
     buckets: dict = {}
     out = []
+    numbers = []  # (plain number, its value), folded first
     powers = []  # (numeric power, its value), folded after the numbers
     for f in flat:
         if f.kind is Kind.NUMBER:
-            coeff *= f.payload
+            numbers.append((f, f.payload))
             continue
         base, exp = _split_pow(f)
         if base.kind is Kind.NUMBER and exp.kind is Kind.NUMBER:
@@ -331,19 +336,24 @@ def canon_mul(factors) -> MathNode:
                 continue
         factor = canon_pow(base, exp_node)
         if factor.kind is Kind.NUMBER:
-            coeff *= factor.payload
+            numbers.append((factor, factor.payload))
             continue
         out.append(factor)
-    # each power folds into the coefficient only while it stays within the
-    # bit budget; one that would pass it stays a factor, which GF(p) evaluates
-    budget = _bit_budget() if powers else 0
-    for f, folded in powers:
+    # each number and power folds into the coefficient only while it stays
+    # within the bit budget (the first always does: it is a number already);
+    # one that would pass it stays a factor, which GF(p) evaluates: a number
+    # as n^1, which _factor and this loop leave unfolded, so that a rewrite
+    # again keeps it
+    budget = _bit_budget()
+    for f, folded in numbers + powers:
         bits = (coeff.numerator.bit_length() + coeff.denominator.bit_length()
                 + folded.numerator.bit_length() + folded.denominator.bit_length())
-        if bits > budget:
-            out.append(f)
-        else:
+        if coeff == 1 or bits <= budget:
             coeff *= folded
+        elif f.kind is Kind.NUMBER:
+            out.append(MathNode(Kind.POW, None, (f, ONE)))
+        else:
+            out.append(f)
     if coeff == 0 and not any(map(_has_zero_pole, out)):
         return ZERO
     if not out:
@@ -509,9 +519,11 @@ _NUM, _SYM, _CONST, _ADD, _MUL, _POWI, _POW, _FN = range(8)
 
 
 def _int_exponent(node: MathNode):
-    """The exponent of a POW node as a Fraction when it is an integer, else None."""
+    """The exponent of a POW node as a Fraction when it is an integer of
+    magnitude below _MAX_DEGREE, else None: the power is then an atom, whose
+    float value evaluate_float refuses past that bound."""
     e = node.children[1]
-    if e.kind is Kind.NUMBER and e.payload.denominator == 1:
+    if e.kind is Kind.NUMBER and e.payload.denominator == 1 and abs(e.payload) < _MAX_DEGREE:
         return e.payload
     return None
 
@@ -521,7 +533,8 @@ class Plan:
 
     `code` is the tree as a postorder stack program for mpmath. `gf` is the
     same tree as a program over GF(P) in which each *atom* (a function call,
-    a constant, or a power whose exponent is not an integer) is one `_SYM`
+    a constant, or a power whose exponent is not an integer below
+    _MAX_DEGREE) is one `_SYM`
     operand keyed by the atom node itself; a rational tree has no atoms.
     `symbols` are the free symbols, `atoms` the atoms that `gf` reads, and
     `evaluable` says whether every node can be evaluated. `degree` bounds
@@ -558,7 +571,7 @@ class Plan:
                 stack.append(kids[0])
                 flags.append(inside)
             else:
-                # any other POW has a non-integer exponent: it is an atom
+                # any other POW (a non-integer or huge exponent) is an atom
                 stack.extend(kids)
                 flags.extend([inside or k is Kind.POW or k is Kind.FUNCTION] * len(kids))
         emit, gf = self.code.append, self.gf.append
@@ -676,7 +689,8 @@ def evaluate_exact(code: list, env: dict) -> int:
 
 def evaluate_float(code: list, env: dict):
     """A plan's float program at one point, in mpmath at the caller's working
-    precision; operands combine left to right."""
+    precision; operands combine left to right. Raises OverflowError for a
+    power whose exponent reaches _MAX_DEGREE in magnitude."""
     stack = []
     push, pop = stack.append, stack.pop
     for op, arg in code:
@@ -699,6 +713,8 @@ def evaluate_float(code: list, env: dict):
             push(r)
         elif op == _POW:
             e = pop()
+            if abs(e) >= _MAX_DEGREE:  # mpmath would take seconds: x^(3^4761) took 10 s
+                raise OverflowError("exponent too large to evaluate")
             push(pop() ** e)
         else:  # _FN
             fn, arity = arg

@@ -316,7 +316,7 @@ def _prepared_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig) 
     loaded ground truth is parsed once. On the kept answer `grade`'s
     canonicalize stage keeps its canonical trees (with their evaluation
     plans) and its subtree table, so a hit skips every ground-truth stage;
-    `grade_run` grades against a fresh TypedAnswer of its parts instead.
+    `grade_run` grades against a copy of it (`TypedAnswer.fresh`) instead.
     An invalid ground truth raises and is not kept. 1024 entries hold a
     whole CMPhysBench run."""
     return parse_ground_truth(gt_raw, declared, cfg)

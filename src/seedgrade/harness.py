@@ -12,11 +12,10 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import errors
 from .config import GradeConfig
-from .errors import DegenerateInput, GradingError, GroundTruthInvalid, SchemaError
+from .errors import DegenerateInput, GroundTruthInvalid, SchemaError
 from .grader import GradeResult, _prepared_ground_truth, grade_prediction
-from .nodes import AnswerType, TypedAnswer
+from .nodes import AnswerType
 
 TOPICS = (
     "Magnetism",
@@ -164,21 +163,29 @@ FORK_AFTER_S = 0.05  # projected serial time of the tasks left past which a run 
 
 def grade_run(items, responses, cfg: GradeConfig = GradeConfig()) -> RunReport:
     """Grade every (item, model) pair. Items a model never answered score 0;
-    responses without a matching item are recorded with a diagnostic. Each
-    answered item's ground truth is read from the ground-truth memo that
-    `load_dataset` filled (an item it did not load is parsed once, into the
-    memo), and its trees are canonicalized (an equation standardized) once
-    for every model, on a TypedAnswer of the item's own, so they end with
-    the item (see grader.grade_parsed). Each distinct response text to it is
-    graded once: grading is deterministic, so models that sent the same
-    text share its result. The result memo of `grade` is not used.
+    responses without a matching item are recorded with a diagnostic.
+
+    Before any item is graded, each answered item's ground truth is looked
+    up, in item order, in the ground-truth memo that `load_dataset` filled
+    (an item it did not load is parsed once, into the memo), so an invalid
+    one raises here, the first in item order, and no worker is forked. An
+    unanswered item's ground truth is never parsed. Its trees are
+    canonicalized (an equation standardized) once for every model, on a
+    copy of the parse (`TypedAnswer.fresh`) that ends with the item (see
+    grader.grade_parsed). Each distinct response text to it is graded once:
+    grading is deterministic, so models that sent the same text share its
+    result. The result memo of `grade` is not used.
 
     Items are graded from one task queue; forked workers join in once the
     tasks left are projected to take over FORK_AFTER_S (see `_grade_work`)."""
     models = sorted({model for _, model, _ in responses})
     response_map = {(i, m): r for i, m, r in responses}
-    work = [(item, [(model, response_map.pop((item.id, model), None)) for model in models])
-            for item in items]
+    work = []  # (item, its kept ground-truth parse or None if unanswered, answers)
+    for item in items:
+        answers = [(model, response_map.pop((item.id, model), None)) for model in models]
+        answered = any(text is not None for _, text in answers)
+        gt = _prepared_ground_truth(item.ground_truth, item.answer_type, cfg) if answered else None
+        work.append((item, gt, answers))
     records = _grade_work(work, cfg)
     for (item_id, model), _ in sorted(response_map.items()):
         result = GradeResult.zero(["response id not in dataset"])
@@ -192,9 +199,11 @@ def _record(item_id, model, topic, answer_type, result) -> dict:
             "answer_type": answer_type, **result.to_dict()}
 
 
-def _grade_item(item, answers, cfg) -> list:
-    """The records of one item; answers is [(model, response text or None)]."""
-    gt = None
+def _grade_item(item, gt, answers, cfg) -> list:
+    """The records of one item; gt is its kept ground-truth parse (None when
+    no model answered it), answers is [(model, response text or None)]."""
+    if gt is not None:
+        gt = gt.fresh()  # the trees built on the copy end with the item
     graded: dict = {}  # response text -> GradeResult
     records = []
     for model, text in answers:
@@ -203,10 +212,6 @@ def _grade_item(item, answers, cfg) -> list:
         elif text in graded:
             result = graded[text]
         else:
-            if gt is None:
-                # the kept parse's parts; the trees built on them end with the item
-                kept = _prepared_ground_truth(item.ground_truth, item.answer_type, cfg)
-                gt = TypedAnswer(kept.answer_type, kept.parts, kept.quantity, kept.openness)
             result = graded[text] = grade_prediction(text, gt, cfg)
         records.append(_record(item.id, model, item.topic, item.answer_type.value, result))
     return records
@@ -228,7 +233,7 @@ def _tasks(work) -> tuple:
     unanswered item). The cheapest answered item goes first and alone, to set
     the rate a run projects the rest at; the rest follow costliest first."""
     costs = []
-    for item, answers in work:
+    for item, _, answers in work:
         texts = {text for _, text in answers if text is not None}
         costs.append(sum(map(len, texts)) + len(item.ground_truth) if texts else 0)
     order = sorted(range(len(work)), key=costs.__getitem__, reverse=True)
@@ -245,22 +250,9 @@ def _queued(queue: int):
         yield int.from_bytes(number, "little")
 
 
-def _grade_tasks(work, tasks, numbers, cfg):
-    """Grade the tasks whose numbers `numbers` yields:
-    ([(index, records)], None or (index, exception)). After an item fails,
-    only items before it are graded, so that the first failing item of the
-    run is among those the processes report."""
-    done: list = []
-    error = None
-    for t in numbers:
-        for i in tasks[t]:
-            if error is not None and i > error[0]:
-                continue
-            try:
-                done.append((i, _grade_item(*work[i], cfg)))
-            except Exception as exc:
-                error = (i, exc)
-    return done, error
+def _grade_tasks(work, tasks, numbers, cfg) -> list:
+    """[(index, records)] of the items of the tasks whose numbers `numbers` yields."""
+    return [(i, _grade_item(*work[i], cfg)) for t in numbers for i in tasks[t]]
 
 
 def _pin(cpus, k: int) -> None:
@@ -274,25 +266,6 @@ def _pin(cpus, k: int) -> None:
             pass
 
 
-def _error_to_json(exc) -> dict:
-    if isinstance(exc, GradingError) and getattr(errors, type(exc).__name__, None) is type(exc):
-        return {"type": type(exc).__name__, "args": exc.args, "attrs": vars(exc)}
-    return {"traceback": "".join(traceback.format_exception(exc))}
-
-
-def _error_from_json(data) -> Exception:
-    """The exception a worker sent: a seedgrade error as the same type with
-    the same message and attributes, anything else as a RuntimeError that
-    carries the worker's traceback."""
-    if "type" not in data:
-        return RuntimeError(f"grading worker failed:\n{data['traceback']}")
-    cls = getattr(errors, data["type"])
-    exc = cls.__new__(cls)
-    exc.args = tuple(data["args"])
-    vars(exc).update(data["attrs"])
-    return exc
-
-
 def _grade_work(work, cfg) -> list:
     """Grade `work` from one queue of tasks of whole items (`_tasks`) in a
     pipe. Before each task it takes, until it forks, this process projects
@@ -300,8 +273,11 @@ def _grade_work(work, cfg) -> list:
     ÷ cost graded (0 before its first task). The first time that passes
     FORK_AFTER_S, it forks a child per other usable CPU to share the queue,
     each process pinned to its own CPU where the host allows it; a child
-    sends its records back as JSON and ends with `os._exit`. Returns the
-    records in item order; raises the error of the first item that failed.
+    sends back its [(index, records)] as JSON and ends with `os._exit`.
+    Grading raises nothing for a valid ground truth, and `grade_run` checked
+    them all, so a child that raises has met a bug: it prints the traceback
+    to stderr and exits 1, and this process raises a RuntimeError for the
+    child that ended without a result. Returns the records in item order.
     On any error or KeyboardInterrupt, every child is killed and reaped first."""
     tasks, costs = _tasks(work)
     queue, wfd = os.pipe()  # written raw: a buffered file adds ~0.4 MB to a forked process
@@ -339,12 +315,13 @@ def _grade_work(work, cfg) -> list:
                 try:
                     os.close(rfd)
                     _pin(affinity, k)
-                    done, error = _grade_tasks(work, tasks, _queued(queue), cfg)
-                    if error is not None:
-                        error = (error[0], _error_to_json(error[1]))
+                    done = _grade_tasks(work, tasks, _queued(queue), cfg)
                     with os.fdopen(wfd, "wb") as out:
-                        out.write(json.dumps([done, error]).encode())
+                        out.write(json.dumps(done).encode())
                     code = 0
+                except Exception:
+                    traceback.print_exc()
+                    sys.stderr.flush()  # os._exit flushes nothing
                 finally:
                     os._exit(code)
             os.close(wfd)
@@ -353,20 +330,17 @@ def _grade_work(work, cfg) -> list:
         yield from _queued(queue)
 
     try:
-        parts = [_grade_tasks(work, tasks, taken(), cfg)]
+        done = _grade_tasks(work, tasks, taken(), cfg)
         for pid in list(children):
             with children[pid] as reader:
                 payload = reader.read()
             _, status = os.waitpid(pid, 0)
             del children[pid]
             try:
-                done, error = json.loads(payload)
+                done += json.loads(payload)
             except ValueError:
                 raise RuntimeError(f"grading worker {pid} ended without a result "
                                    f"(wait status {status})") from None
-            if error is not None:
-                error = (error[0], _error_from_json(error[1]))
-            parts.append((done, error))
     finally:
         for pid, reader in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -378,10 +352,7 @@ def _grade_work(work, cfg) -> list:
                 os.sched_setaffinity(0, affinity)
             except OSError:
                 pass
-    failures = [error for _, error in parts if error is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    done = sorted((d for part, _ in parts for d in part), key=lambda d: d[0])
+    done.sort(key=lambda d: d[0])
     return [rec for _, records in done for rec in records]
 
 

@@ -263,6 +263,12 @@ class TypedAnswer:
         if answer_type is AnswerType.TUPLE and len(self.parts) < 2:
             raise ValueError("tuple answers need at least two parts")
 
+    def fresh(self) -> "TypedAnswer":
+        """A copy with the same parts, quantity and openness and with empty
+        `trees` and `subtrees`: what grading against it builds ends with
+        the copy."""
+        return TypedAnswer(self.answer_type, self.parts, self.quantity, self.openness)
+
     def __repr__(self):
         return f"TypedAnswer({self.answer_type.value}, {self.parts!r})"
 

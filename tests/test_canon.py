@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,36 @@ class TestRewrites:
         once = canon(parse(" + ".join([r"3^{4761} 7^{2399} x"] * 11)))
         assert once.kind is Kind.ADD and len(once.children) == 11
         assert canon(once) == once
+
+    @pytest.mark.parametrize("text", [
+        r"(\sqrt{2 \cdot 10^{300}})^{28} (\sqrt{3 \cdot 10^{300}})^{28}",
+        r"(3^{4761} 7^{2399}+1)(3^{4761} 7^{2399}+1)",
+        r"\frac{1}{3^{4761} 7^{2399}+1} \cdot \frac{1}{3^{4761} 7^{2399}+2}",
+    ])
+    def test_numbers_past_the_bit_budget_idempotent(self, text):
+        # two numbers within the bit budget, whose product is not: the second stays n^1
+        once = canon(parse(text))
+        assert once.kind is Kind.MUL and once.children[0].kind is Kind.NUMBER
+        kept = once.children[1]
+        assert kept.kind is Kind.POW and kept.children[0].kind is Kind.NUMBER
+        assert kept.children[1] == num(1)
+        assert canon(once) == once
+        times_x = canon(mul(once, x))
+        assert set(times_x.children) == {*once.children, x}
+        assert canon(times_x) == times_x
+
+    def test_int_nth_root(self):
+        rng = random.Random(4761)
+        for _ in range(2000):
+            n = rng.randint(2, 12)
+            root = rng.randint(2, 10 ** rng.randint(1, 300))
+            power = root**n
+            assert canon_mod._int_nth_root(power, n) == root
+            assert canon_mod._int_nth_root(power - 1, n) is None
+            assert canon_mod._int_nth_root(power + 1, n) is None
+        assert [canon_mod._int_nth_root(v, 2) for v in (-4, 0, 1, 2, 4)] == [None, 0, 1, None, 2]
+        # past the float range: 3^4761 has 2272 digits
+        assert canon_mod._int_nth_root(3**4760, 2) == 3**2380
 
     def test_sign_not_globally_normalized(self):
         # x - y and y - x must stay distinct expressions

@@ -105,13 +105,15 @@ def _continued_fraction(depth):
 CRASHERS = [
     pytest.param("(" * 1000 + "x" + ")" * 1000, "RecursionError", id="nested-parentheses"),
     pytest.param(_continued_fraction(300), "RecursionError", id="continued-fraction"),
-    # powers of square roots that each fold within the bit budget, whose product does not
-    pytest.param(r"(\sqrt{2 \cdot 10^{300}})^{28} (\sqrt{3 \cdot 10^{300}})^{28}", "ValueError",
+    # a power of a power whose exponents each fold within the bit budget, whose product does not
+    pytest.param(r"(x^{3^{4761} 7^{2399}})^{3^{4761} 7^{2399}}", "ValueError",
                  id="int-digit-limit"),
 ]
 
+# a number within the bit budget: 3^4761 7^2399 has 4299 digits
+BIG = r"3^{4761} 7^{2399}"
 # eleven numbers within the bit budget, whose sum is not
-BIG_SUM = " + ".join([r"3^{4761} 7^{2399}"] * 11)
+BIG_SUM = " + ".join([BIG] * 11)
 
 
 class TestNeverCrash:
@@ -185,6 +187,40 @@ class TestNeverCrash:
         assert r.score == 0.0 and r.diagnostics == []
         assert score(pred, BIG_SUM, "expression").score == 100.0
         assert score(pred, BIG_SUM + "+1", "expression").score < 100.0
+
+    @pytest.mark.parametrize("text", [
+        r"(\sqrt{2 \cdot 10^{300}})^{28} (\sqrt{3 \cdot 10^{300}})^{28}",
+        rf"({BIG}+1)({BIG}+1)",
+        rf"\frac{{1}}{{{BIG}+1}} \cdot \frac{{1}}{{{BIG}+2}}",
+    ])
+    def test_product_past_the_bit_budget_keeps_a_number(self, text):
+        # numbers that each fold within the bit budget, whose product does not
+        start = time.perf_counter()
+        r = score(rf"\boxed{{{text}}}", "x", "expression")
+        assert time.perf_counter() - start < 0.05
+        assert r.score == 0.0 and r.diagnostics == []
+        assert score(rf"\boxed{{{text}}}", text, "expression").score == 100.0
+        assert score(rf"\boxed{{{text}}}", text + "+1", "expression").score < 100.0
+
+    def test_root_of_a_number_past_the_float_range(self):
+        # 3^4761 folds to 2272 digits, beyond any float
+        r = score(r"\boxed{\sqrt{3^{4761}}}", r"\sqrt{3^{4761}}", "expression")
+        assert r.score == 100.0 and r.diagnostics == []
+        assert score(r"\boxed{\sqrt{3^{4761}}}", r"3^{2380} \sqrt{3}", "expression").score == 100.0
+        assert score(r"\boxed{\sqrt{3^{4761}}}", r"3^{2381}", "expression").score < 100.0
+
+    @pytest.mark.parametrize("pred", [
+        rf"x^{{{BIG}}}", rf"(x^{{{BIG}}})^{{2}}", rf"\sin({BIG})^{{{BIG}}}",
+        rf"y^{{{BIG}}}+y^{{{BIG}}}", rf"x^{{\frac{{{BIG}}}{{2}}}}",
+    ])
+    def test_huge_exponent_grades_in_bounded_time(self, pred):
+        # mpmath took 10 to 12 s on each of these at 30 digits
+        start = time.perf_counter()
+        r = score(rf"\boxed{{{pred}}}", "x", "expression")
+        assert time.perf_counter() - start < 0.05
+        assert r.score == 0.0
+        assert not any(d.startswith("internal-error:") for d in r.diagnostics)
+        assert score(rf"\boxed{{{pred}}}", pred, "expression").score == 100.0
 
     @pytest.mark.parametrize("pred", [
         r"\boxed{3 \times 10^{400} \text{ m}}",
@@ -497,6 +533,19 @@ class TestGroundTruthMemo:
         for item in items:
             kept = grader._prepared_ground_truth(item.ground_truth, item.answer_type, CFG)
             assert kept.trees == () and kept.subtrees == {}
+
+    def test_fresh_copy_keeps_no_trees(self):
+        score(r"\boxed{[0, 2L)}", "(0, 2L)", "interval")
+        kept = grader._prepared_ground_truth("(0, 2L)", AnswerType.INTERVAL, CFG)
+        assert kept.trees and kept.subtrees
+        trees, subtrees = kept.trees, dict(kept.subtrees)
+        copy = kept.fresh()
+        assert (copy.answer_type, copy.parts, copy.quantity, copy.openness) == \
+            (kept.answer_type, kept.parts, kept.quantity, kept.openness)
+        assert copy.trees == () and copy.subtrees == {}
+        assert grader.grade_prediction(r"\boxed{(0, 2L]}", copy, CFG).score < 100
+        assert copy.trees and copy.subtrees
+        assert kept.trees is trees and kept.subtrees == subtrees
 
 
 class TestResultMemo:

@@ -352,7 +352,7 @@ class TestParallelGradeRun:
             serial_run(monkeypatch, items, responses)
         with pytest.raises(GroundTruthInvalid) as exc:
             grade_run(items, responses)
-        assert len(forked) == 2
+        assert forked == []
         assert str(exc.value) == str(serial.value)
         assert exc.value.line == serial.value.line
 
@@ -362,7 +362,34 @@ class TestParallelGradeRun:
         responses = [(it.id, "m", r"\boxed{x}") for it in items]
         with pytest.raises(GroundTruthInvalid, match="frac\\{'"):
             grade_run(items, responses)
+        assert forked == []
+
+    def test_invalid_ground_truth_grades_no_item(self, forked, monkeypatch):
+        items, responses = generated_run(30)
+        items[17] = BenchmarkItem(items[17].id, "Others", AnswerType.EXPRESSION, "p", "\\frac{")
+        graded, real = [], harness.grade_prediction
+        monkeypatch.setattr(harness, "grade_prediction",
+                            lambda *args: graded.append(args) or real(*args))
+        with pytest.raises(GroundTruthInvalid, match="frac\\{'"):
+            grade_run(items, responses)
+        assert graded == [] and forked == []
+
+    def test_worker_that_raises_prints_its_traceback(self, forked, monkeypatch, capfd):
+        parent = os.getpid()
+        real = harness.grade_prediction
+
+        def failing(text, gt, cfg):
+            if os.getpid() != parent:
+                raise ZeroDivisionError("a bug in grading")
+            return real(text, gt, cfg)
+
+        monkeypatch.setattr(harness, "grade_prediction", failing)
+        items, responses = generated_run(30)
+        with time_limit(20), pytest.raises(RuntimeError, match="ended without a result"):
+            grade_run(items, responses)
         assert len(forked) == 2
+        err = capfd.readouterr().err
+        assert "Traceback" in err and "ZeroDivisionError: a bug in grading" in err
 
     def test_dead_worker_raises(self, forked, monkeypatch):
         parent = os.getpid()
@@ -528,10 +555,10 @@ class TestSplitRule:
     def test_unanswered_item_is_never_the_first_task(self):
         items = self._items([4, 1, 3, 2])
         answers = [("m", r"\boxed{x}"), ("m", None), ("m", r"\boxed{x}"), ("m", r"\boxed{x}")]
-        tasks, costs = harness._tasks([(it, [a]) for it, a in zip(items, answers)])
+        tasks, costs = harness._tasks([(it, None, [a]) for it, a in zip(items, answers)])
         assert tasks == [[3], [0], [2], [1]]
         assert costs[-1] == 0 and 0 < costs[0] < costs[2] < costs[1]
-        unanswered = [(it, [("m", None)]) for it in items]
+        unanswered = [(it, None, [("m", None)]) for it in items]
         assert harness._tasks(unanswered) == ([[0], [1], [2], [3]], [0, 0, 0, 0])
 
     def test_run_with_no_answered_item_never_forks(self, forked, monkeypatch):
