@@ -43,7 +43,7 @@ import mpmath
 
 from .config import GradeConfig
 from .errors import Inconclusive, NotARelation
-from .nodes import KIND_RANK, MINUS_ONE, ONE, ZERO, Kind, MathNode, num, relation, set_key
+from .nodes import KIND_RANK, MINUS_ONE, ONE, ZERO, Kind, MathNode, num, set_key
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -213,6 +213,8 @@ def _int_nth_root(x: int, n: int):
     float root would overflow past 2^1024."""
     if x < 2:
         return x if x >= 0 else None
+    if n >= x.bit_length():  # 1 < root < 2, and r ** (n - 1) below would not end
+        return None
     r = 1 << -(-x.bit_length() // n)
     while True:
         s = ((n - 1) * r + x // r ** (n - 1)) // n
@@ -272,11 +274,9 @@ def canon_pow(base: MathNode, exp: MathNode) -> MathNode:
         # (x*y)^a -> x^a * y^a; sound under the positive-real reading that
         # physics answers carry
         return canon_mul([canon_pow(f, exp) for f in base.children])
-    if base.kind is Kind.POW:
+    if base.kind is Kind.POW and exp.kind is Kind.NUMBER:
         b2, e2 = base.children
-        if e2.kind is Kind.NUMBER and exp.kind is Kind.NUMBER:
-            return canon_pow(b2, num(e2.payload * exp.payload))
-        if exp.kind is Kind.NUMBER and exp.payload.denominator == 1:
+        if e2.kind is Kind.NUMBER or exp.payload.denominator == 1:
             return canon_pow(b2, canon_mul([e2, exp]))
     return MathNode(Kind.POW, None, (base, exp))
 
@@ -323,8 +323,6 @@ def canon_mul(factors) -> MathNode:
                 # (it takes 1^e to 1 past the bit budget)
                 out.append(MathNode(Kind.POW, None, (base, exp_node)))
                 continue
-        elif all(e.kind is Kind.NUMBER for e in exps):
-            exp_node = num(sum(e.payload for e in exps))
         else:
             exp_node = canon_add(exps)
         if exp_node.kind is Kind.NUMBER and exp_node.payload == 0:
@@ -420,41 +418,19 @@ def as_canonical(tree) -> CanonicalTree:
 _FLIP = {"<": ">", ">": "<", "<=": ">=", ">=": "<=", "=": "="}
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator, b.numerator),
-        math.lcm(a.denominator, b.denominator),
-    )
+def _leading_and_gcd(terms: tuple):
+    """(the coefficient of the canonically-first term, the gcd of the
+    rational coefficients of all the terms)."""
+    pairs = [_split_term(t) for t in terms]
+    lead = min(pairs, key=lambda cb: sort_key(cb[1]))[0]
+    return lead, Fraction(math.gcd(*(c.numerator for c, _ in pairs)),
+                          math.lcm(*(c.denominator for c, _ in pairs)))
 
 
-def _leading_and_gcd(tree: MathNode):
-    """(sign of the canonically-first term's coefficient, gcd of rational coeffs)."""
-    if tree.kind is Kind.ADD:
-        pairs = [_split_term(t) for t in tree.children]
-        pairs.sort(key=lambda cb: sort_key(cb[1]))
-        lead = pairs[0][0]
-        g = _F0
-        for c, _ in pairs:
-            g = _frac_gcd(g, abs(c))
-        return lead, g
-    coeff, _ = _split_term(tree)
-    return coeff, abs(coeff)
-
-
-def _scale_tree(tree: MathNode, s: Fraction) -> MathNode:
-    if s == 1:
-        return tree
-    if tree.kind is Kind.ADD:
-        return canon_add(
-            [_with_coeff(c * s, b) for c, b in (_split_term(t) for t in tree.children)]
-        )
-    coeff, base = _split_term(tree)
-    return _with_coeff(coeff * s, base)
-
-
-def standardize_relation(node: MathNode, table: "dict | None" = None) -> MathNode:
-    """Rewrite `lhs # rhs` as `f # 0` with a positive, gcd-reduced leading
-    term; the sides are canonicalized through `table` (see _rewrite)."""
+def standardize_relation(node: MathNode, table: "dict | None" = None) -> tuple:
+    """(op, f) of `lhs # rhs` rewritten as `f # 0`, f a CanonicalTree whose
+    leading term is positive and gcd-reduced; the sides are canonicalized
+    through `table` (see _rewrite)."""
     if node.kind is not Kind.RELATION:
         raise NotARelation(f"expected a relation, got {node.kind.name}")
     lhs = _rewrite(node.children[0], table)
@@ -462,24 +438,19 @@ def standardize_relation(node: MathNode, table: "dict | None" = None) -> MathNod
     diff = canon_add([lhs, canon_mul([MINUS_ONE, rhs])])
     op = node.payload
     if diff == ZERO:
-        return relation(op, ZERO, ZERO)
-    lead, g = _leading_and_gcd(diff)
+        return op, CanonicalTree(ZERO)
+    terms = diff.children if diff.kind is Kind.ADD else (diff,)
+    lead, g = _leading_and_gcd(terms)
     scale = _F1
-    if g not in (0, 1):
+    # a scale past the bit budget could not be printed: the relation stays unreduced
+    if g and g.numerator.bit_length() + g.denominator.bit_length() <= _bit_budget():
         scale = 1 / g
     if lead < 0:
         scale = -scale
         op = _FLIP[op]
-    diff = _scale_tree(diff, scale)
-    return relation(op, diff, ZERO)
-
-
-def canonical_relation(node: MathNode, table: "dict | None" = None) -> tuple:
-    """(operator, canonical f) of the relation standardized as `f # 0`; the
-    sides are canonicalized through `table` (see _rewrite)."""
-    s = standardize_relation(node, table)
-    # built by the canonical constructors, so rewriting it again is a no-op
-    return s.payload, CanonicalTree(s.children[0])
+    if scale != 1:
+        diff = canon_add([canon_mul([num(scale), t]) for t in terms])
+    return op, CanonicalTree(diff)
 
 
 # --- evaluation --------------------------------------------------------------

@@ -16,7 +16,6 @@ class GradeConfig:
     rtol: float = 1e-2
     numeric_partial: bool = False
     # score mapping
-    max_score: float = 100.0
     zero_cutoff: float = 1.0
     # edit costs
     insert_cost: int = 1
@@ -45,8 +44,6 @@ class GradeConfig:
             raise ValueError("trials must be at least 1")
         if not self.zero_cutoff > 0:
             raise ValueError("zero_cutoff must be positive")
-        if not (math.isfinite(self.max_score) and self.max_score > 0):
-            raise ValueError("max_score must be finite and positive")
         if not 0 <= self.openness_penalty <= 1:
             raise ValueError("openness_penalty must lie in [0, 1]")
         if self.max_bracket_inserts < 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .canon import as_canonical, canonical_relation, canonicalize, equivalent
+from .canon import as_canonical, canonicalize, equivalent, standardize_relation
 from .config import GradeConfig
 from .errors import DimensionMismatch, GradingError, GroundTruthInvalid, Inconclusive
 from .nodes import AnswerType, Kind, MathNode, TypedAnswer
@@ -19,6 +19,9 @@ from .parser import parse_answer
 from .preprocess import canonicalize_latex, extract_final_answer
 from .ted import tree_edit_distance
 from .units import compare_quantities
+
+# every score lies in [0, MAX_SCORE]; an equivalent answer scores MAX_SCORE
+MAX_SCORE = 100.0
 
 
 @dataclass
@@ -41,9 +44,9 @@ class GradeResult:
         )
 
     @classmethod
-    def full(cls, cfg: GradeConfig, diagnostics) -> "GradeResult":
+    def full(cls, diagnostics) -> "GradeResult":
         return cls(
-            score=cfg.max_score,
+            score=MAX_SCORE,
             equivalent=True,
             distance=0,
             relative_distance=0.0,
@@ -71,8 +74,7 @@ def distance_to_score(distance, gt_size: int, cfg: GradeConfig = GradeConfig()) 
     if gt_size < 1:
         raise ValueError("ground-truth size must be >= 1")
     r = distance / gt_size
-    score = cfg.max_score * max(0.0, 1.0 - r / cfg.zero_cutoff)
-    return min(cfg.max_score, max(0.0, score))
+    return MAX_SCORE * max(0.0, 1.0 - r / cfg.zero_cutoff)
 
 
 def _distance_result(distance, gt_size: int, cfg: GradeConfig, edit_script, diagnostics) -> GradeResult:
@@ -99,7 +101,7 @@ def seed_score(pred, gt, cfg: GradeConfig = GradeConfig()) -> GradeResult:
     diagnostics: list = []
     try:
         if equivalent(cp, cg, cfg):
-            return GradeResult.full(cfg, diagnostics)
+            return GradeResult.full(diagnostics)
     except Inconclusive:
         diagnostics.append("equivalence-inconclusive: falling back to tree distance")
     distance, ops = tree_edit_distance(cp.root, cg.root, cfg)
@@ -162,7 +164,7 @@ def _grade_relation(pred: tuple, gt: tuple, cfg: GradeConfig) -> GradeResult:
     op_g, cg = gt
     sides = seed_score(cp, cg, cfg)
     if op_p == op_g and sides.equivalent:
-        return GradeResult.full(cfg, ["equation-equivalent"])
+        return GradeResult.full(["equation-equivalent"])
     distance = sides.distance
     diagnostics = sides.diagnostics + ["graded-on-standardized-sides"]
     if op_p != op_g:
@@ -185,7 +187,7 @@ def _combined_parts(pred: tuple, gt: tuple, n: int, factor: float, prefix: str, 
         score=score,
         equivalent=equivalent,
         distance=0 if equivalent else sum(float(r.distance) for r in parts),
-        relative_distance=0.0 if equivalent else 1.0 - score / cfg.max_score,
+        relative_distance=0.0 if equivalent else 1.0 - score / MAX_SCORE,
         edit_script=[op for r in parts for op in r.edit_script],
         diagnostics=[prefix.format(i) + d for i, r in enumerate(parts) for d in r.diagnostics] + notes,
     )
@@ -199,13 +201,13 @@ def grade_numeric(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeCo
     except DimensionMismatch as exc:
         return GradeResult.zero([f"DimensionMismatch: {exc}"])
     if ok:
-        return GradeResult.full(cfg, [f"within rtol {cfg.rtol}"])
+        return GradeResult.full([f"within rtol {cfg.rtol}"])
     rel = abs(pred.quantity.magnitude - gt.quantity.magnitude) / max(
         abs(gt.quantity.magnitude), 1e-300
     )
     diagnostics = [f"magnitude off by relative error {rel:.3g}"]
     if cfg.numeric_partial:
-        score = cfg.max_score * max(0.0, 1.0 - rel)
+        score = MAX_SCORE * max(0.0, 1.0 - rel)
         return GradeResult(
             score=score,
             equivalent=False,
@@ -220,7 +222,7 @@ def _canonical_forms(nodes: tuple, t: AnswerType, table: dict) -> tuple:
     """The canonical forms of nodes through `table`; an equation's are
     standardized `(op, f)` pairs."""
     if t is AnswerType.EQUATION:
-        return tuple(canonical_relation(r, table) for r in nodes)
+        return tuple(standardize_relation(r, table) for r in nodes)
     return tuple(canonicalize(n, table) for n in nodes)
 
 
@@ -260,7 +262,8 @@ def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeCon
         # a lone expression is graded as a 1-part tuple (positional)
         lp, lg = len(pred.parts), len(gt.parts)
         n = max(lp, lg)
-        notes = [f"component {i}: missing" for i in range(len(p), n)]
+        side = "extra" if lp > lg else "missing"
+        notes = [f"component {i}: {side}" for i in range(len(p), n)]
         if lp != lg:
             notes.append(f"length mismatch: {lp} vs {lg}, averaged over {n}")
         return _combined_parts(p, g, n, 1.0, "component {}: ", notes, cfg)

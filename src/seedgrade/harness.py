@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import GradeConfig
 from .errors import DegenerateInput, GroundTruthInvalid, SchemaError
-from .grader import GradeResult, _prepared_ground_truth, grade_prediction
+from .grader import MAX_SCORE, GradeResult, _prepared_ground_truth, grade_prediction
 from .nodes import AnswerType
 
 TOPICS = (
@@ -52,8 +52,7 @@ class RunReport:
         """SEED-exact accuracy: fraction of items scoring exactly 100."""
         if not self.records:
             return 0.0
-        full = self.config.get("max_score", 100.0)
-        return sum(1 for r in self.records if r["score"] == full) / len(self.records)
+        return sum(1 for r in self.records if r["score"] == MAX_SCORE) / len(self.records)
 
     def write(self, outdir) -> None:
         report = render_report(self)  # raises on an empty report, before any file is made
@@ -365,7 +364,6 @@ def aggregate(report: RunReport, by: str) -> list:
     groups: dict = {}
     for rec in report.records:
         groups.setdefault(rec[by], []).append(rec["score"])
-    full = report.config.get("max_score", 100.0)
     rows = []
     for group in sorted(groups):
         scores = groups[group]
@@ -374,7 +372,7 @@ def aggregate(report: RunReport, by: str) -> list:
                 "group": group,
                 "count": len(scores),
                 "mean": sum(scores) / len(scores),
-                "accuracy": sum(1 for s in scores if s == full) / len(scores),
+                "accuracy": sum(1 for s in scores if s == MAX_SCORE) / len(scores),
             }
         )
     return rows

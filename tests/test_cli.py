@@ -56,7 +56,7 @@ class TestGradeCommand:
             "trials = 0\n",
             "zero_cutoff = 0\n",
             "numeric_partial = ture\n",
-            "max_score = -5\n",
+            "max_score = 100\n",
             "openness_penalty = 3\n",
             "max_bracket_inserts = -1\n",
         ]:

@@ -193,6 +193,13 @@ class TestGradeRun:
         assert by_id["q1"]["diagnostics"] == [f"internal-error:{error}"]
         assert by_id["q2"]["score"] == 100.0
 
+    def test_other_exception_does_not_abort_run(self, broken_stage):
+        responses = [("q1", "m", broken_stage), ("q2", "m", r"\boxed{3y}")]
+        by_id = {r["id"]: r for r in grade_run(self._items(), responses).records}
+        assert by_id["q1"]["score"] == 0.0
+        assert by_id["q1"]["diagnostics"] == ["internal-error:ValueError"]
+        assert by_id["q2"]["score"] == 100.0
+
     def test_ground_truth_parsed_once_per_answered_item(self, monkeypatch):
         parsed = []
         original = grader.parse_ground_truth

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import evaluate_exact
-from seedgrade.canon import _rewrite, canonical_relation, canonicalize, standardize_relation
+from seedgrade.canon import _rewrite, canonicalize, equivalent, standardize_relation
 from seedgrade.nodes import Kind, MathNode, num, pow_, relation, sym
 from seedgrade.parser import parse_expression, serialize
 from seedgrade.preprocess import canonicalize_latex
@@ -56,9 +56,31 @@ def test_canonicalize_idempotent(t):
 @given(trees, trees, st.sampled_from(["=", "<", "<=", ">", ">="]))
 def test_standardized_relation_side_is_a_rewrite_fixed_point(lhs, rhs, op):
     r = relation(op, lhs, rhs)
-    side = standardize_relation(r).children[0]
-    assert repr(_rewrite(side)) == repr(side)
-    assert canonical_relation(r)[1] == canonicalize(side)
+    side = standardize_relation(r)[1]
+    assert repr(_rewrite(side.root)) == repr(side.root)
+    assert side == canonicalize(side.root)
+
+
+# 3^4761 7^2399: 4299 digits, within the bit budget, as is its reciprocal;
+# a product or sum of two such exponents is not
+BIG = 3**4761 * 7**2399
+
+big_exponent_trees = st.recursive(
+    st.one_of(st.builds(sym, st.sampled_from(["x", "y"])), st.builds(num, st.integers(2, 5))),
+    lambda ch: st.one_of(
+        st.builds(_nary(Kind.MUL), st.lists(ch, min_size=2, max_size=4)),
+        st.builds(pow_, ch, st.sampled_from([BIG, BIG + 1, Fraction(1, BIG), 2, -1]).map(num)),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None)
+@given(big_exponent_trees)
+def test_exponent_arithmetic_past_the_bit_budget(t):
+    once = _rewrite(t)
+    assert repr(_rewrite(once)) == repr(once)
+    assert equivalent(t, t)
 
 
 def _copy(node):
