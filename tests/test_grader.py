@@ -437,7 +437,11 @@ class TestConfig:
         "eval_rtol = nan\n",
         "eval_rtol = inf\n",
         "numeric_partial = ture\n",
-        # the score scale is fixed at 100: the key is unknown
+        # the score scale is fixed at 100: the key is unknown, whatever
+        # its value
+        "max_score = -5\n",
+        "max_score = 0\n",
+        "max_score = inf\n",
         "max_score = 100\n",
         "openness_penalty = 3\n",
         "openness_penalty = -0.5\n",
