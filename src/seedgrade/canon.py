@@ -337,21 +337,25 @@ def canon_mul(factors) -> MathNode:
             numbers.append((factor, factor.payload))
             continue
         out.append(factor)
-    # each number and power folds into the coefficient only while it stays
+    # each number and power folds into the coefficient when the product stays
     # within the bit budget (the first always does: it is a number already);
-    # one that would pass it stays a factor, which GF(p) evaluates: a number
-    # as n^1, which _factor and this loop leave unfolded, so that a rewrite
-    # again keeps it
+    # the rest are tried again after each pass that folds one, since a later
+    # factor can cancel (N, N, 1/N is N). One that never fits stays a factor,
+    # which GF(p) evaluates: a number as n^1, which _factor and this loop
+    # leave unfolded, so that a rewrite again keeps it
     budget = _bit_budget()
-    for f, folded in numbers + powers:
-        bits = (coeff.numerator.bit_length() + coeff.denominator.bit_length()
-                + folded.numerator.bit_length() + folded.denominator.bit_length())
-        if coeff == 1 or bits <= budget:
-            coeff *= folded
-        elif f.kind is Kind.NUMBER:
-            out.append(MathNode(Kind.POW, None, (f, ONE)))
-        else:
-            out.append(f)
+    kept = numbers + powers
+    while True:
+        pending, kept = kept, []
+        for f, folded in pending:
+            product = coeff * folded
+            if coeff == 1 or product.numerator.bit_length() + product.denominator.bit_length() <= budget:
+                coeff = product
+            else:
+                kept.append((f, folded))
+        if len(kept) == len(pending):
+            break
+    out += [MathNode(Kind.POW, None, (f, ONE)) if f.kind is Kind.NUMBER else f for f, _ in kept]
     if coeff == 0 and not any(map(_has_zero_pole, out)):
         return ZERO
     if not out:
@@ -693,6 +697,26 @@ def evaluate_float(code: list, env: dict):
             del stack[-arity:]
             push(fn(vals[0]))
     return stack[0]
+
+
+def real_value(node: MathNode) -> float:
+    """The value of a constant tree, read from its canonical form: exact
+    where that is a number, else its plan's float program at 30 digits.
+    Raises ValueError for a tree with a free symbol, one that cannot be
+    evaluated, or a value with an imaginary part past 1e-25 of its size;
+    an ArithmeticError at a pole or past the float range."""
+    root = _rewrite(node)
+    if root.kind is Kind.NUMBER:
+        return float(root.payload)
+    plan = Plan(root)
+    if not plan.symbols and plan.evaluable:
+        with mpmath.workdps(30):
+            v = evaluate_float(plan.float_code(30), {})
+        # a real constant written through complex numbers (e^{i pi}) keeps
+        # an imaginary part at the float program's rounding
+        if abs(v.imag) <= 1e-25 * abs(v):
+            return float(v.real)
+    raise ValueError("not a real constant")
 
 
 def _pair_seed(cfg_seed: int, da: str, db: str) -> int:

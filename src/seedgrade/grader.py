@@ -1,6 +1,7 @@
 """Per-answer-type grading: preprocess, parse, canonicalize and score one
 prediction against one ground truth. Canonicalization is one stage
-(`_compared_trees`), and the score policy (`GradeResult`,
+(`_compared_trees`; a numeric value is read from its canonical form by
+`read_answer`), and the score policy (`GradeResult`,
 `distance_to_score`, `seed_score`) lives here: every partial score is built
 by `_distance_result` (edit-distance credit) or `_combined_parts` (the
 parts of a tuple or an interval). Prediction-side failures always become
@@ -11,14 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .canon import as_canonical, canonicalize, equivalent, standardize_relation
+from .canon import as_canonical, canonicalize, equivalent, real_value, standardize_relation
 from .config import GradeConfig
-from .errors import DimensionMismatch, GradingError, GroundTruthInvalid, Inconclusive
+from .errors import DimensionMismatch, GradingError, GroundTruthInvalid, Inconclusive, NoNumber
 from .nodes import AnswerType, Kind, MathNode, TypedAnswer
-from .parser import parse_answer
+from .parser import parse_answer, split_quantity
 from .preprocess import canonicalize_latex, extract_final_answer
 from .ted import tree_edit_distance
-from .units import compare_quantities
+from .units import compare_quantities, parse_quantity
 
 # every score lies in [0, MAX_SCORE]; an equivalent answer scores MAX_SCORE
 MAX_SCORE = 100.0
@@ -108,10 +109,25 @@ def seed_score(pred, gt, cfg: GradeConfig = GradeConfig()) -> GradeResult:
     return _distance_result(distance, cg.size, cfg, ops, diagnostics)
 
 
+def read_answer(text: str, declared: AnswerType) -> TypedAnswer:
+    """parse_answer, or for a numeric answer its quantity: the value of its
+    value part, which `canon.real_value` reads from the value's canonical
+    form, in its unit product (parser.split_quantity). A value that is not a
+    finite real constant (a free symbol, `\\sqrt{-1}`, a pole, past the
+    float range) raises NoNumber, and so does a unit scale that is not."""
+    if declared is not AnswerType.NUMERIC:
+        return parse_answer(text, declared)
+    value, unit = split_quantity(text)
+    try:
+        return TypedAnswer(declared, (), parse_quantity(real_value(value), unit))
+    except (ArithmeticError, ValueError):
+        raise NoNumber(f"no finite magnitude in {text.strip()!r}") from None
+
+
 def parse_ground_truth(gt_raw: str, declared: AnswerType, cfg: GradeConfig = GradeConfig()) -> TypedAnswer:
     try:
         clean = canonicalize_latex(gt_raw, max_bracket_inserts=cfg.max_bracket_inserts)
-        return parse_answer(clean, declared)
+        return read_answer(clean.text, declared)
     except GradingError as exc:
         raise GroundTruthInvalid(f"ground truth {gt_raw!r} invalid: {exc}") from exc
     except RecursionError as exc:
@@ -143,7 +159,7 @@ def _parse_prediction(text: str, declared: AnswerType):
     """
     diagnostics: list = []
     try:
-        return parse_answer(text, declared), diagnostics
+        return read_answer(text, declared), diagnostics
     except GradingError as exc:
         diagnostics.append(f"{type(exc).__name__}: {exc}")
     if declared is not AnswerType.EXPRESSION:
@@ -242,10 +258,12 @@ def _compared_trees(pred: TypedAnswer, gt: TypedAnswer) -> tuple:
 
 def grade_parsed(pred: TypedAnswer, gt: TypedAnswer, cfg: GradeConfig = GradeConfig()) -> GradeResult:
     """Grade a parsed prediction: check its type against the ground truth's,
-    canonicalize both (_compared_trees, the one place that canonicalizes),
-    then score the canonical trees. A tuple scores the mean of its parts
-    over the longer tuple; an interval the mean of its two endpoints, less
-    `openness_penalty / 2` for each endpoint whose openness differs."""
+    canonicalize both (_compared_trees, the one place that canonicalizes
+    compared trees; a numeric answer's value was read when it was parsed,
+    see read_answer), then score the canonical trees. A tuple scores the
+    mean of its parts over the longer tuple; an interval the mean of its
+    two endpoints, less `openness_penalty / 2` for each endpoint whose
+    openness differs."""
     t = gt.answer_type
     if t is AnswerType.NUMERIC:
         return grade_numeric(pred, gt, cfg)

@@ -240,7 +240,7 @@ class TypedAnswer:
     `parts` are the trees that grading compares: the one expression or
     relation, a tuple's components, or an interval's two endpoints, whose
     `(lower_open, upper_open)` is `openness`. A numeric answer has no parts
-    and a `quantity`.
+    and a `quantity`, its value in its unit (see grader.read_answer).
 
     Two slots are filled when the answer is graded against as a ground
     truth (see grader.grade_parsed), and live as long as the answer:

@@ -10,7 +10,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ParseError, TypeMismatch, UnknownCommand
+from .errors import NoNumber, ParseError, TypeMismatch, UnknownCommand
 from .nodes import (
     HALF,
     MINUS_ONE,
@@ -472,7 +472,8 @@ def _after_top_level_eq(text: str) -> str:
 
 
 def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
-    """Parse a clean answer string under the dataset-declared type."""
+    """Parse a clean answer string under the dataset-declared type. A
+    numeric answer is read by grader.read_answer, from split_quantity."""
     text = src.text if isinstance(src, CleanLatex) else str(src)
     text = text.strip()
     if not text:
@@ -520,12 +521,80 @@ def parse_answer(src: CleanLatex, declared: AnswerType) -> TypedAnswer:
             openness=(t[0] == "(", t[-1] == ")"),
         )
 
-    if declared is AnswerType.NUMERIC:
-        from .units import parse_quantity
-
-        return TypedAnswer(AnswerType.NUMERIC, (), quantity=parse_quantity(_after_top_level_eq(text)))
-
     raise AssertionError(declared)
+
+
+# a thousands separator: `,`, `{,}`, or a thin space (`\,`, a plain space once normalized)
+_SEP = r"(?:,|\{,\}|\\,| )"
+# a decimal comma: `,` or `{,}` before a run of digits that is not exactly three
+# long (a digit must follow, so the `,` inside a grouping `{,}` never matches alone)
+_COMMA = r"(?:,|\{,\})(?=\d)(?!\d{3}(?!\d))"
+# a decimal literal, whose integer part may be grouped by threes (`12,345,678`)
+# or which may have a decimal comma (`1,5`, `3{,}14`), and its e-notation exponent
+_LITERAL_RE = re.compile(
+    rf"([1-9]\d{{0,2}}(?:{_SEP}\d{{3}})+(?!\d)(?:\.\d*)?|\d+{_COMMA}\d+|\d+\.?\d*|\.\d+)(?:[eE]([+-]?\d+))?"
+)
+# finds the decimal comma of a literal; a grouped literal has none
+_COMMA_RE = re.compile(_COMMA)
+# deletes the separators from a grouped literal
+_UNGROUPED = str.maketrans("", "", ",{} \\")
+# an `x` that is a times sign: before `10^`
+_TIMES_RE = re.compile(r"(?<![a-zA-Z\\])x(?=\s*10\s*\^)")
+# a word, a bracket, or a character that a value holds only inside braces
+_STOP_RE = re.compile(r"(\\?[a-zA-Z]+)|([({\[])|([)}\]])|([^\s\d.+\-*/^])")
+# the words that a quantity's value holds outside braces: the grammar's
+# function, constant, fraction, root and operator commands, `\pm` (whose
+# uncertainty is dropped) and the constant `e`
+_VALUE_KINDS = ("func", "const", "frac", "sqrt", "star", "slash")
+_VALUE_WORDS = {word for word, (kind, _) in _FIXED_TOKENS.items() if kind in _VALUE_KINDS} | {"\\pm", "e"}
+# `\pm` and the uncertainty that it drops, up to a bracket that it did not
+# open: `(a \pm b) \times 10^{k}` is a times 10^k
+_PM_RE = re.compile(r"\\pm(?:[^()]|\([^()]*\))*")
+
+
+def _literal(m: re.Match) -> str:
+    """A decimal literal as the expression grammar reads it: a decimal comma
+    is a point, the separators of grouped digits go, and an e-notation
+    exponent is a `\\times 10^{k}`."""
+    digits = _COMMA_RE.sub(".", m[1]).translate(_UNGROUPED)
+    digits = ("0" + digits if digits[0] == "." else digits).rstrip(".")
+    return f"({digits} \\times 10^{{{m[2]}}})" if m[2] else digits
+
+
+def _value_end(text: str) -> int:
+    """Where the value of a rewritten quantity text ends: outside braces,
+    before a word that is not a value word, a closing bracket that the
+    value did not open, or any other character than a digit, a point, a
+    space, an operator or a bracket (so a comma that no literal took ends
+    it: `0,001` is 0)."""
+    depth = braces = 0  # open brackets, and the braces among them
+    for m in _STOP_RE.finditer(text):
+        word, opener, closer, other = m.groups()
+        depth += bool(opener) - bool(closer)
+        braces += (opener == "{") - (closer == "}")
+        if depth < 0 or not braces and (other or word and word not in _VALUE_WORDS):
+            return m.start()
+    return len(text)
+
+
+def split_quantity(text: str) -> tuple:
+    """Split a numeric answer `[label =] <value> [\\pm <uncertainty>] [unit
+    product]` into the value's tree and the unit product's text. An outer
+    bracket pair goes (`(3 m)`), then the literals are rewritten for the
+    expression grammar (see _literal; `x` before `10^` is a times sign).
+    The value ends where _value_end says; operators and opening brackets at
+    its end go with the unit product (`3 / m`), and the uncertainty after
+    `\\pm` is dropped from both. An empty value raises NoNumber."""
+    text = _strip_outer(_after_top_level_eq(text.strip()))
+    rewritten = _LITERAL_RE.sub(_literal, _TIMES_RE.sub(r"\\times", text))
+    value = rewritten[: _value_end(rewritten)]
+    while value != (value := value.rstrip(" +-*/^([").removesuffix(r"\cdot").removesuffix(r"\times")):
+        pass
+    unit = rewritten[len(value):].partition(r"\pm")[0]
+    value = _PM_RE.sub(" ", value)
+    if not value.strip():
+        raise NoNumber(f"no numeric literal in {text!r}")
+    return parse_expression(value), unit
 
 
 # -- serialization -----------------------------------------------------------

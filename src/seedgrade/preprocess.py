@@ -134,10 +134,12 @@ _ALIASES = {
     "leq": "\\le ", "geq": "\\ge ",
 }
 # Commands whose brace group is spliced back into the text, with their note
-# (\text picks its note by its content)
+# (\text picks its note by its content; siunitx's \SI{value}{unit} splices
+# both groups, with a space between)
 _WRAPPERS = {
     "boxed": "boxed", "operatorname": "alias", "text": None,
     **dict.fromkeys(_FONT_COMMANDS, "font-unwrap"),
+    **dict.fromkeys(("SI", "num", "si"), "siunitx"),
 }
 
 _COMMAND_RE = re.compile(r"\\([A-Za-z]+)")
@@ -187,6 +189,8 @@ def _rewrite_commands(s: str, notes: list) -> str:
                 content = f" {content} " if kept else " "
             elif name == "operatorname":
                 content = "\\" + content.strip() + " "
+            elif name == "SI" and (unit := _group_at(s, after)):
+                content, after = f"{content} {unit[0]}", unit[1]
             notes.append(note)
             s, i = content + s[after:], 0
         elif name in ("left", "right"):

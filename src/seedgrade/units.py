@@ -1,15 +1,15 @@
-"""Physical quantities: scientific-notation parsing, SI dimension vectors,
-and relative-tolerance comparison."""
+"""Physical quantities: unit products read into SI dimension vectors and
+scales, and relative-tolerance comparison. A numeric answer's value is read
+by the expression parser and canon (see grader.read_answer)."""
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .errors import DimensionMismatch, NoNumber, UnknownUnit
+from .errors import DimensionMismatch, UnknownUnit
 
 BASE_UNITS = ("m", "kg", "s", "A", "K", "mol", "cd")
 
@@ -76,102 +76,43 @@ def _resolve(token: str) -> tuple:
     raise UnknownUnit(token)
 
 
-# a thousands separator: `,`, `{,}`, or a thin space (`\,`, a plain space once normalized)
-_SEP = r"(?:,|\{,\}|\\,| )"
-# a decimal comma: `,` or `{,}` before a run of digits that is not exactly three
-# long (a digit must follow, so the `,` inside a grouping `{,}` never matches alone)
-_COMMA = r"(?:,|\{,\})(?=\d)(?!\d{3}(?!\d))"
-# a decimal literal; its integer part may be grouped by threes (`12,345,678`),
-# or it may have a decimal comma (`1,5`, `3{,}14`)
-_NUM = (
-    rf"(?:[1-9]\d{{0,2}}(?:{_SEP}\d{{3}})+(?!\d)(?:\.\d*)?|\d+{_COMMA}\d+|\d+\.?\d*|\.\d+)"
-    r"(?:[eE][+-]?\d+)?"
-)
-# a decimal literal, or `\frac{a}{b}` of two of them
-_NUMBER_RE = re.compile(rf"([+-]?)\\frac\s*\{{\s*({_NUM})\s*\}}\s*\{{\s*({_NUM})\s*\}}|[+-]?{_NUM}")
-# finds the decimal comma of a literal; a grouped literal has none
-_COMMA_RE = re.compile(_COMMA)
-# deletes the separators from a grouped literal
-_UNGROUPED = str.maketrans("", "", ",{} \\")
-# what may stand before a number that takes a bare `^{k}`: nothing, `\approx` or `\sim`
-_LEAD_RE = re.compile(r"(?:\\approx|\\sim)?\s*")
-# `\times 10^{b}` after the number or after `(a \pm c)`, or a bare `^{b}` after a leading literal
-_POWER_RE = re.compile(
-    rf"\s*(?:\\pm\s*{_NUM}\s*\))?\s*((?:\\times|\\cdot|\*|x)\s*10\s*)?\^\s*\{{?\s*([+-]?\d+)\s*\}}?"
-)
-# `\pm`, the `/` after which exponents are negated, or a unit word and its exponent
-_UNIT_RE = re.compile(r"(\\pm(?![a-zA-Z]))|(/)|\\?([a-zA-Z]+)\s*(?:\^\s*(-?\d+(?:/\d+)?))?")
+# the `/` after which exponents are negated, or a unit word and its exponent
+_UNIT_RE = re.compile(r"(/)|\\?([a-zA-Z]+)\s*(?:\^\s*(-?\d+(?:/\d+)?))?")
 
 
-def _value(literal: str) -> float:
-    """The float of a decimal literal: a decimal comma is a point, and the
-    separators of grouped digits go."""
-    return float(_COMMA_RE.sub(".", literal).translate(_UNGROUPED))
-
-
-def parse_quantity(text: str) -> Quantity:
-    """Parse `<number> [\\pm <number>] [x 10^b] [unit product]` into an SI-base
-    Quantity; the uncertainty after `\\pm` is dropped. A leading decimal
-    literal b, after a sign, `\\approx` or `\\sim`, may take a bare `^{k}`
-    (b^k). Its integer part may be grouped by threes, and a `,` or `{,}`
-    before a run of digits that is not three long is a decimal comma. A
-    magnitude or unit scale that is not finite (out of float range, a zero
-    denominator) raises NoNumber."""
-    text = text.strip()
+def parse_quantity(magnitude: float, product: str) -> Quantity:
+    """The Quantity `magnitude` times one unit of the unit `product`
+    (`km/s^2`, `J \\cdot s`; empty for a plain number), in SI base units.
+    One scan; a detached `\\mu`/`u` prefixes the next word. Raises
+    UnknownUnit for a word that is no unit, and ValueError or
+    ArithmeticError for a magnitude or unit scale that is not finite."""
     if not _UNITS:
         bundled = resources.files("seedgrade.data").joinpath("units.tab")
         _UNITS.update(read_table(bundled.read_text("utf-8")))
-
-    m = _NUMBER_RE.search(text)
-    if m is None:
-        raise NoNumber(f"no numeric literal in {text!r}")
-    rest = text[m.end():]
-    try:
-        lead, num, den = m.groups()
-        if num:
-            magnitude = _value(lead + num) / _value(den)
-        else:
-            magnitude = _value(m.group(0))
-        p = _POWER_RE.match(rest)
-        if p and (p.group(1) or (not num and _LEAD_RE.fullmatch(text, 0, m.start()))):
-            k = float(p.group(2))
-            # a bare power takes the sign outside: `-10^{3}` is -(10^3)
-            magnitude = magnitude * 10.0 ** k if p.group(1) else math.copysign(abs(magnitude) ** k, magnitude)
-            rest = rest[p.end():]
-
-        # one scan of the unit product; a detached `\mu`/`u` prefixes the next word
-        dim = [Fraction(0)] * 7
-        scale = 1.0
-        sign = 1
-        micro = None
-        product = re.sub(r"\\cdot|\\times|[{}*]", " ", rest)
-        for pm, slash, word, exp in _UNIT_RE.findall(product):
-            if pm:
-                if scale != 1.0 or any(dim):
-                    break  # `a m \pm b m`: the uncertainty repeats the unit
-                continue  # `a \pm b m`: its digits are skipped like any others
-            if slash:
-                sign = -1
-                continue
-            if micro:
-                if word in ("mu", "u"):
-                    raise UnknownUnit(micro)
-                word, micro = "mu" + word, None
-            elif word in ("mu", "u"):
-                micro = word
-                continue
-            tdim, tscale = _resolve(word)
-            e = sign * Fraction(exp or 1)
-            dim = [d + t * e for d, t in zip(dim, tdim)]
-            scale *= tscale ** float(e)
+    dim = [Fraction(0)] * 7
+    scale = 1.0
+    sign = 1
+    micro = None
+    for slash, word, exp in _UNIT_RE.findall(re.sub(r"\\cdot|\\times|[{}*]", " ", product)):
+        if slash:
+            sign = -1
+            continue
         if micro:
-            raise UnknownUnit(micro)
-        magnitude *= scale
-    except (ArithmeticError, ValueError):  # overflow, 1/0, an exponent past the int-string limit
-        magnitude = math.inf
-    if not math.isfinite(magnitude):
-        raise NoNumber(f"no finite magnitude in {text!r}")
-    return Quantity(magnitude=magnitude, dimension=tuple(dim), si_scale=scale)
+            if word in ("mu", "u"):
+                raise UnknownUnit(micro)
+            word, micro = "mu" + word, None
+        elif word in ("mu", "u"):
+            micro = word
+            continue
+        tdim, tscale = _resolve(word)
+        e = Fraction(exp) * sign if exp else sign
+        for i, t in enumerate(tdim):
+            if t:  # only the unit's own exponents: most units have one or two
+                dim[i] += t * e
+        scale *= tscale ** float(e)
+    if micro:
+        raise UnknownUnit(micro)
+    return Quantity(magnitude=magnitude * scale, dimension=tuple(dim), si_scale=scale)
 
 
 def compare_quantities(pred: Quantity, gt: Quantity, rtol: float = 1e-2) -> bool:

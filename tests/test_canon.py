@@ -153,6 +153,15 @@ class TestRewrites:
         assert set(times_x.children) == {*once.children, x}
         assert canon(times_x) == times_x
 
+    def test_numbers_that_cancel_fold_past_the_bit_budget(self):
+        # N^2 does not fit the bit budget, N^2 / N does: the N left out folds
+        # once 1/N has (N = 3^4761 7^2399, as numbers, so no base collects them)
+        n = 3**4761 * 7**2399
+        for factors in ((n, n, Fraction(1, n)), (n, Fraction(1, n), n), (Fraction(1, n), n, n)):
+            once = canon(mul(*map(num, factors)))
+            assert once == num(n)
+            assert canon(once) == once
+
     def test_int_nth_root(self):
         rng = random.Random(4761)
         for _ in range(2000):
@@ -190,6 +199,15 @@ class TestStandardizeRelation:
     def test_strict_flip(self):
         a = standardize_relation(parse("b > a"))
         assert a[0] == "<"
+
+    def test_scale_that_cancels_folds(self):
+        # the scale N multiplies 1/N to 1 within the bit budget, so no
+        # (1/N)·N^1 factor is left (N = 3^4761 7^2399); N·N stays N·N^1
+        n = r"3^{4761} 7^{2399}"
+        side = standardize_relation(parse(rf"{n} x = \frac{{y}}{{{n}}}"))[1]
+        assert mul(num(-1), y) in side.root.children
+        assert side.size == 10
+        assert canon(side.root) == side.root
 
     def test_non_relation_rejected(self):
         with pytest.raises(NotARelation):

@@ -399,6 +399,41 @@ class TestNumeric:
     def test_powers_and_thousands_separators(self, pred, gt):
         assert score(pred, gt, "numeric").score == 100.0
 
+    @pytest.mark.parametrize("pred, gt, full", [
+        (r"\boxed{\sqrt{4}}", "2", True),
+        (r"\boxed{\sqrt{4}}", "4", False),
+        (r"\boxed{e^{2}}", "2", False),
+        (r"\boxed{\sin(3)}", "3", False),
+        (r"\boxed{\frac{\pi}{2}}", "1.5708", True),
+        (r"\boxed{\pi/2}", "2", False),
+        (r"\boxed{\ln 2 \text{ J}}", r"0.6931 \text{ J}", True),
+        (r"\boxed{1.414 \text{ eV}}", r"\sqrt{2} \text{ eV}", True),
+        (r"\boxed{2 \text{ eV}}", r"\sqrt{2} \text{ eV}", False),
+        (r"\boxed{2\pi \text{ m}}", r"6.2832 \text{ m}", True),
+        (r"\boxed{2\sqrt{2}\,\mathrm{eV}}", r"2.828 \text{ eV}", True),
+        (r"\boxed{T_c \approx 9.2 \text{ K}}", r"9.2 \text{ K}", True),
+        (r"\boxed{(3 \text{ m})}", r"3 \text{ m}", True),
+        (r"\boxed{e^{i\pi}}", "-1", True),
+        (r"\boxed{\SI{3}{m}}", r"3 \text{ m}", True),
+        (r"\boxed{\num{3e8}}", r"3 \times 10^{8}", True),
+        (r"\boxed{3 \text{ m}}", r"\SI{3}{\m}", True),
+        (r"\boxed{3\,\si{m/s}}", r"\SI{2.9}{m/s}", False),
+    ])
+    def test_value_is_the_value_of_its_expression(self, pred, gt, full):
+        r = score(pred, gt, "numeric")
+        assert r.score == (100.0 if full else 0.0)
+        assert not any("retried" in d for d in r.diagnostics)
+
+    def test_ground_truth_value_with_a_symbol_raises(self):
+        with pytest.raises(GroundTruthInvalid, match="no finite magnitude"):
+            score(r"\boxed{1 \text{ m}}", r"\frac{x}{2} \text{ m}", "numeric")
+
+    @pytest.mark.parametrize("pred", [r"\boxed{i}", r"\boxed{\sqrt{-1}}", r"\boxed{\sqrt{-1} \text{ m}}"])
+    def test_value_that_is_not_real_is_no_number(self, pred):
+        r = score(pred, r"1 \text{ m}", "numeric")
+        assert r.score == 0.0
+        assert r.diagnostics[0].startswith("NoNumber: ")
+
     def test_dimension_mismatch_diagnostic(self):
         r = score(r"\boxed{1.6 \times 10^{-19} \text{ J}}",
                   r"1.6 \times 10^{-19} \text{ C}", "numeric")
@@ -573,6 +608,21 @@ class TestGroundTruthMemo:
         for item in items:
             kept = grader._prepared_ground_truth(item.ground_truth, item.answer_type, CFG)
             assert kept.trees == () and kept.subtrees == {}
+
+    def test_quantity_read_once(self, monkeypatch):
+        # a ground truth's value is read when it is parsed, and a batch run
+        # reads only the predictions' values
+        read = []
+        real = grader.real_value
+        monkeypatch.setattr(grader, "real_value", lambda node: read.append(node) or real(node))
+        gt = r"\frac{\pi}{2} \text{ m}"
+        kept = grader._prepared_ground_truth(gt, AnswerType.NUMERIC, CFG)
+        assert len(read) == 1 and kept.parts == ()
+        assert kept.fresh().quantity is kept.quantity
+        item = BenchmarkItem("q1", "Others", AnswerType.NUMERIC, "p", gt)
+        report = grade_run([item], [("q1", "a", r"\boxed{1.5708 \text{ m}}"), ("q1", "b", r"\boxed{2 \text{ m}}")])
+        assert [r["score"] for r in report.records] == [100.0, 0.0]
+        assert len(read) == 3
 
     def test_fresh_copy_keeps_no_trees(self):
         score(r"\boxed{[0, 2L)}", "(0, 2L)", "interval")
@@ -855,6 +905,6 @@ class TestGoldenRecords:
 
 
 GOLDEN_RECORDS = (
-    "3991576ef6c2a9bef97da615b09afe86c866ee0e124cf42db703045de85dd85e",
-    "94380ed52f8be1846e08e80d85a6a1142051d488ad766bf535294f95ae2943de",
+    "548d1bbf69de9c7c5e3a20e1b4626b1f7f331fc2e08d198c9c130c6258dcef91",
+    "dbb8e121b1df9aa5bd0df4eed9b5269ddcbfa89657d817b39b815d34b2a04112",
 )

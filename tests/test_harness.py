@@ -84,6 +84,17 @@ class TestLoadDataset:
             load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
         assert exc.value.line == 1
 
+    def test_quantity_ground_truth_with_a_symbol_reports_line(self, tmp_path):
+        row = dict(GOOD_ROW, answer_type="numeric", ground_truth=r"\frac{x}{2} \text{ m}")
+        with pytest.raises(GroundTruthInvalid, match="no finite magnitude") as exc:
+            load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
+        assert exc.value.line == 1
+
+    def test_siunitx_quantity_ground_truth_loads(self, tmp_path):
+        row = dict(GOOD_ROW, answer_type="numeric", ground_truth=r"\SI{3e8}{m/s}")
+        [item] = load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))
+        assert item.ground_truth == r"\SI{3e8}{m/s}"
+
     def test_delta_before_subscripted_symbol(self, tmp_path):
         row = dict(GOOD_ROW, ground_truth=r"\Delta T_c")
         items = load_dataset(write_jsonl(tmp_path / "d.jsonl", [row]))

@@ -8,6 +8,7 @@ from importlib import resources
 import pytest
 
 from seedgrade.errors import ParseError, TypeMismatch, UnknownCommand
+from seedgrade.grader import read_answer
 from seedgrade.nodes import (
     AnswerType, Kind, MathNode, add, const, func, mul, neg, num, pow_, relation, sym)
 from seedgrade.parser import parse_answer, parse_expression, serialize
@@ -331,7 +332,7 @@ class TestParseAnswer:
         assert a.openness == (True, True)
 
     def test_numeric(self):
-        a = parse_answer(canonicalize_latex(r"3 \times 10^{8} m/s"), AnswerType.NUMERIC)
+        a = read_answer(canonicalize_latex(r"3 \times 10^{8} m/s").text, AnswerType.NUMERIC)
         assert a.quantity.magnitude == pytest.approx(3e8)
 
 

@@ -1,16 +1,27 @@
-"""Property-based invariants for canonicalization, evaluation, and distance."""
+"""Property-based invariants for canonicalization, evaluation, distance,
+and the value of a numeric answer."""
 
+import math
 from fractions import Fraction
+from importlib import resources
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import evaluate_exact
 from seedgrade.canon import _rewrite, canonicalize, equivalent, standardize_relation
-from seedgrade.nodes import Kind, MathNode, num, pow_, relation, sym
+from seedgrade.grader import read_answer
+from seedgrade.nodes import HALF, MINUS_ONE, AnswerType, Kind, MathNode, const, mul, num, pow_, relation, sym
 from seedgrade.parser import parse_expression, serialize
 from seedgrade.preprocess import canonicalize_latex
 from seedgrade.ted import tree_edit_distance
+from seedgrade.units import read_table
+
+try:
+    import sympy
+except ImportError:  # the sympy check is skipped, as in test_differential.py
+    sympy = None
 
 leaves = st.one_of(
     st.builds(sym, st.sampled_from(["x", "y", "z"])),
@@ -157,3 +168,67 @@ def test_distance_triangle_inequality(a, b, c):
     dbc = tree_edit_distance(cb, cc)[0]
     dac = tree_edit_distance(ca, cc)[0]
     assert dac <= dab + dbc
+
+
+# constant trees: integers, decimals, fractions and small integer powers; the
+# irrational ones add pi, e and square roots (of positive leaves only: a root
+# of a negative square is the canon_pow branch question of ROADMAP item 5)
+_decimals = st.builds(lambda n, k: num(Fraction(n, 10**k)), st.integers(-999, 999), st.integers(1, 3))
+_positive = st.one_of(st.integers(1, 12).map(num), st.sampled_from([const("pi"), const("e")]))
+
+
+def _constant_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda ch: st.one_of(
+            st.builds(_nary(Kind.ADD), st.lists(ch, min_size=2, max_size=3)),
+            st.builds(_nary(Kind.MUL), st.lists(ch, min_size=2, max_size=3)),
+            st.builds(lambda a, b: mul(a, pow_(b, MINUS_ONE)), ch, ch),
+            st.builds(lambda b, e: pow_(b, num(e)), ch, st.integers(-2, 3)),
+        ),
+        max_leaves=6,
+    )
+
+
+rational_constants = _constant_trees(st.one_of(st.integers(0, 12).map(num), _decimals))
+constants = _constant_trees(st.one_of(
+    st.integers(0, 12).map(num), _decimals, _positive, _positive.map(lambda b: pow_(b, HALF))))
+_TABLE = read_table(resources.files("seedgrade.data").joinpath("units.tab").read_text("utf-8"))
+unit_words = st.sampled_from(sorted(_TABLE))
+
+
+def _assert_read(t, word, value):
+    """The quantity read from `t` rendered with the unit `word` is `value`
+    of that unit, within 1e-12 relative (1e-12 of the unit where it is 0)."""
+    scale = _TABLE[word][1]
+    q = read_answer(f"{serialize(t)} {word}", AnswerType.NUMERIC).quantity
+    assert q.dimension == _TABLE[word][0]
+    assert math.isclose(q.magnitude, float(value) * scale, rel_tol=1e-12, abs_tol=1e-12 * scale)
+
+
+@settings(deadline=None)
+@given(rational_constants, unit_words)
+def test_quantity_value_of_a_rational_tree(t, word):
+    try:
+        value = evaluate_exact(t, {})
+    except ZeroDivisionError:
+        assume(False)
+    _assert_read(t, word, value)
+
+
+def _to_sympy(t: MathNode):
+    if t.kind is Kind.NUMBER:
+        return sympy.Rational(t.payload.numerator, t.payload.denominator)
+    if t.kind is Kind.CONSTANT:
+        return sympy.pi if t.payload == "pi" else sympy.E
+    kids = [_to_sympy(c) for c in t.children]
+    return {Kind.ADD: sympy.Add, Kind.MUL: sympy.Mul, Kind.POW: sympy.Pow}[t.kind](*kids)
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+@settings(deadline=None)
+@given(constants, unit_words)
+def test_quantity_value_of_a_constant_tree(t, word):
+    value = sympy.N(_to_sympy(t), 50)
+    assume(value.is_finite)
+    _assert_read(t, word, value)
